@@ -49,7 +49,6 @@ from .losses import (
 )
 from .model import (
     ForwardTrace,
-    GeneratorParams,
     Gradients,
     ModelParams,
     backward,

@@ -52,7 +52,12 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: config must be a JSON object")
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported config schema version {version}")
@@ -64,6 +69,11 @@ def _echo_config(out_dir: str, name: str, obj: dict) -> None:
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def _given_flags(args, names: tuple[str, ...]) -> dict:
+    """The named flags that were given on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _parse_csv_list(text: str) -> list[str]:
@@ -82,6 +92,16 @@ def _gen_data_domains(cfg: dict) -> dict[str, BlobSpec]:
     if "domains" in cfg:
         return {name: BlobSpec.from_dict(spec) for name, spec in cfg["domains"].items()}
     return preset_domains(cfg["preset"], cfg["seed"], cfg["samples_per_class"])
+
+
+def _make_splits(
+    specs: dict[str, BlobSpec], train_fraction: float
+) -> dict[str, tuple[DomainDataset, DomainDataset]]:
+    """Generate each blob domain and split it into (train, test)."""
+    return {
+        domain_id: split(make_blobs(spec, domain_id=domain_id), train_fraction, spec.seed)
+        for domain_id, spec in specs.items()
+    }
 
 
 def cmd_gen_data(args) -> int:
@@ -111,12 +131,10 @@ def cmd_gen_data(args) -> int:
     specs = _gen_data_domains(cfg)
     out_dir = cfg["out_dir"]
     _echo_config(out_dir, "gen_config.json", cfg)
-    for domain_id, spec in specs.items():
-        full = make_blobs(spec, domain_id=domain_id)
-        train_ds, test_ds = split(full, cfg["train_fraction"], spec.seed)
-        for ds, name in ((train_ds, "train"), (test_ds, "test")):
+    for domain_id, pair in _make_splits(specs, cfg["train_fraction"]).items():
+        for ds, name in zip(pair, ("train", "test")):
             save_csv(ds, os.path.join(out_dir, f"{domain_id}_{name}.csv"))
-            counts = np.bincount(ds.labels, minlength=spec.num_classes)
+            counts = np.bincount(ds.labels, minlength=specs[domain_id].num_classes)
             pretty = ", ".join(f"class {c}: {n}" for c, n in enumerate(counts))
             print(f"{domain_id} {name}: {ds.n} rows ({pretty})")
     return 0
@@ -128,26 +146,19 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_config_from_args(args, file_train: dict) -> TrainConfig:
-    merged = dict(file_train)
+    if not isinstance(file_train, dict):
+        raise ValidationError("the train section of the config must be a JSON object")
+    flags = _given_flags(args, ("epochs", "batch_size", "lr", "optimizer", "seed"))
+    merged = {**file_train, **flags}
     if args.terms is not None:
         merged["terms"] = _parse_csv_list(args.terms)
-    if args.epochs is not None:
-        merged["epochs"] = args.epochs
-    if args.batch_size is not None:
-        merged["batch_size"] = args.batch_size
-    if args.lr is not None:
-        merged["lr"] = args.lr
-    if args.optimizer is not None:
-        merged["optimizer"] = args.optimizer
-    if args.seed is not None:
-        merged["seed"] = args.seed
     if args.hidden_dims is not None:
-        merged["hidden_dims"] = [int(h) for h in _parse_csv_list(args.hidden_dims)]
+        merged["hidden_dims"] = _parse_csv_list(args.hidden_dims)
     if args.prior is not None:
         if args.prior == "estimate":
             merged["prior"] = "estimate_from_source"
         else:
-            merged["prior"] = [float(p) for p in _parse_csv_list(args.prior)]
+            merged["prior"] = _parse_csv_list(args.prior)
     if args.fake_sampler is not None:
         if args.fake_sampler == "gaussian":
             merged["fake_sampler"] = "gaussian_input"
@@ -165,25 +176,57 @@ def _train_config_from_args(args, file_train: dict) -> TrainConfig:
             sampler["lr"] = args.gen_lr
         merged["fake_sampler"] = sampler
     if args.mmd_gamma is not None:
-        merged["mmd_gamma"] = (
-            "median-heuristic" if args.mmd_gamma == "median" else float(args.mmd_gamma)
-        )
+        merged["mmd_gamma"] = "median-heuristic" if args.mmd_gamma == "median" else args.mmd_gamma
     if args.weights is not None:
         weights = {}
         for item in _parse_csv_list(args.weights):
             term, _, value = item.partition("=")
             if not value:
                 raise ValidationError(f"bad --weights item {item!r}, expected term=value")
-            weights[term] = float(value)
+            weights[term] = value
         merged["term_weights"] = weights
     return train_config_from_dict(merged)
 
 
-def _load_domain(data_dir: str, name: str, suffix: str, k: int | None = None) -> DomainDataset:
+def _load_domain(data_dir: str, name: str, suffix: str) -> DomainDataset:
     path = os.path.join(data_dir, f"{name}_{suffix}.csv")
     if not os.path.exists(path):
         raise ValidationError(f"missing dataset file {path}")
-    return load_csv(path, k=k, domain_id=name, split=suffix)
+    return load_csv(path, domain_id=name, split=suffix)
+
+
+def _train_and_score(
+    cfg: TrainConfig,
+    sources: list[tuple[DomainDataset, DomainDataset]],
+    target: tuple[DomainDataset, DomainDataset],
+    out_dir: str,
+) -> tuple[float, float]:
+    """Train on (train, test) splits; write model.ckpt, history.jsonl and
+    metrics_{source,target}_test.json to out_dir; return both accuracies.
+
+    The source test sets are pooled into one score.
+    """
+    target_train, target_test = target
+    if target_test.labels is None:
+        raise ValidationError(
+            f"target test set {target_test.domain_id!r} has no labels to score"
+        )
+    params, history = train(cfg, [tr for tr, _ in sources], target_train.without_labels())
+
+    os.makedirs(out_dir, exist_ok=True)
+    save_checkpoint(params, os.path.join(out_dir, "model.ckpt"))
+    history.save_jsonl(os.path.join(out_dir, "history.jsonl"))
+    k = params.num_classes
+    source_x = np.vstack([te.features for _, te in sources])
+    source_y = np.concatenate([te.labels for _, te in sources])
+    metrics = (
+        compute_metrics(predict(params, source_x), source_y, k),
+        compute_metrics(predict(params, target_test.features), target_test.labels, k),
+    )
+    for m, name in zip(metrics, ("source_test", "target_test")):
+        with open(os.path.join(out_dir, f"metrics_{name}.json"), "w", encoding="utf-8") as fh:
+            fh.write(m.to_json() + "\n")
+    return metrics[0].accuracy, metrics[1].accuracy
 
 
 def cmd_train(args) -> int:
@@ -201,11 +244,9 @@ def cmd_train(args) -> int:
         if not value:
             raise ValidationError(f"{field_name} is required (flag or config)")
     cfg = _train_config_from_args(args, file_cfg.get("train", {}))
-
-    source_train = [_load_domain(data_dir, name, "train") for name in sources]
-    target_train = _load_domain(data_dir, target, "train").without_labels()
-
-    params, history = train(cfg, source_train, target_train)
+    splits = ("train", "test")
+    source_sets = [tuple(_load_domain(data_dir, name, s) for s in splits) for name in sources]
+    target_sets = tuple(_load_domain(data_dir, target, s) for s in splits)
 
     resolved = {
         "schema_version": SCHEMA_VERSION,
@@ -216,24 +257,9 @@ def cmd_train(args) -> int:
         "train": train_config_to_dict(cfg),
     }
     _echo_config(out_dir, "config.json", resolved)
-    save_checkpoint(params, os.path.join(out_dir, "model.ckpt"))
-    history.save_jsonl(os.path.join(out_dir, "history.jsonl"))
-
-    k = params.num_classes
-    source_test = [_load_domain(data_dir, name, "test", k=k) for name in sources]
-    pooled_x = np.vstack([ds.features for ds in source_test])
-    pooled_y = np.concatenate([ds.labels for ds in source_test])
-    src_metrics = compute_metrics(predict(params, pooled_x), pooled_y, k)
-    target_test = _load_domain(data_dir, target, "test", k=k)
-    if target_test.labels is None:
-        raise ValidationError(f"target test set {target!r} has no labels to score")
-    tgt_metrics = compute_metrics(predict(params, target_test.features), target_test.labels, k)
-
-    for metrics, name in ((src_metrics, "source_test"), (tgt_metrics, "target_test")):
-        with open(os.path.join(out_dir, f"metrics_{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_json() + "\n")
-    print(f"source test accuracy: {src_metrics.accuracy:.4f}")
-    print(f"target test accuracy: {tgt_metrics.accuracy:.4f}")
+    source_acc, target_acc = _train_and_score(cfg, source_sets, target_sets, out_dir)
+    print(f"source test accuracy: {source_acc:.4f}")
+    print(f"target test accuracy: {target_acc:.4f}")
     return 0
 
 
@@ -283,31 +309,14 @@ def _run_sweep_cell(payload: dict) -> dict:
         specs = preset_domains(
             payload["preset"], payload["seed"], payload["samples_per_class"]
         )
+        datasets = _make_splits(specs, payload["train_fraction"])
         src_id, tgt_id = payload["direction"].split("->")
-        datasets = {}
-        for domain_id, spec in specs.items():
-            full = make_blobs(spec, domain_id=domain_id)
-            datasets[domain_id] = split(full, payload["train_fraction"], spec.seed)
-        cell_dir = payload["cell_dir"]
-        os.makedirs(cell_dir, exist_ok=True)
-
-        train_dict = dict(payload["train"])
-        train_dict["terms"] = list(payload["terms"])
-        train_dict["seed"] = payload["seed"]
-        cfg = train_config_from_dict(train_dict)
-
-        src_train, src_test = datasets[src_id]
-        tgt_train, tgt_test = datasets[tgt_id]
-        params, history = train(cfg, [src_train], tgt_train.without_labels())
-
-        save_checkpoint(params, os.path.join(cell_dir, "model.ckpt"))
-        history.save_jsonl(os.path.join(cell_dir, "history.jsonl"))
-        k = params.num_classes
-        src_metrics = compute_metrics(predict(params, src_test.features), src_test.labels, k)
-        tgt_metrics = compute_metrics(predict(params, tgt_test.features), tgt_test.labels, k)
-        for metrics, name in ((src_metrics, "source_test"), (tgt_metrics, "target_test")):
-            with open(os.path.join(cell_dir, f"metrics_{name}.json"), "w", encoding="utf-8") as fh:
-                fh.write(metrics.to_json() + "\n")
+        cfg = train_config_from_dict(
+            {**payload["train"], "terms": list(payload["terms"]), "seed": payload["seed"]}
+        )
+        source_acc, target_acc = _train_and_score(
+            cfg, [datasets[src_id]], datasets[tgt_id], payload["cell_dir"]
+        )
         return {
             "ok": True,
             "row": {
@@ -315,8 +324,8 @@ def _run_sweep_cell(payload: dict) -> dict:
                 "direction": payload["direction"],
                 "terms": "+".join(payload["terms"]),
                 "seed": payload["seed"],
-                "source_acc": src_metrics.accuracy,
-                "target_acc": tgt_metrics.accuracy,
+                "source_acc": source_acc,
+                "target_acc": target_acc,
             },
         }
     except (ContradistError, OSError) as exc:
@@ -335,13 +344,7 @@ def cmd_sweep(args) -> int:
         if direction not in ("d0->d1", "d1->d0"):
             raise ValidationError(f"bad direction {direction!r}")
 
-    base_train = {}
-    if args.epochs is not None:
-        base_train["epochs"] = args.epochs
-    if args.batch_size is not None:
-        base_train["batch_size"] = args.batch_size
-    if args.lr is not None:
-        base_train["lr"] = args.lr
+    base_train = _given_flags(args, ("epochs", "batch_size", "lr"))
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
@@ -483,10 +486,7 @@ def main(argv=None) -> int:
     except (ValidationError, CsvParseError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NumericError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

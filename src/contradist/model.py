@@ -64,10 +64,6 @@ class ModelParams:
         )
 
 
-# The generator shares the classifier's parameter structure.
-GeneratorParams = ModelParams
-
-
 @dataclass
 class ForwardTrace:
     """Everything a forward pass produces that backprop needs.

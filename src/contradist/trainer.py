@@ -11,8 +11,18 @@ batch, then combines the enabled loss terms:
 
 Fakes come either from per-dimension Gaussians fit to the batch, or from a
 small generator network trained to match the classifier's embedding of the
-target via a kernel two-sample loss.  The target dataset must arrive
-unlabeled; nothing in here reads target labels.
+target via a kernel two-sample loss.  The generator only models the target,
+so sa always uses Gaussian fakes and rejects the generator sampler.  The
+target dataset must arrive unlabeled; nothing in here reads target labels.
+
+train() holds the terms in one table.  Each row names a term, the epoch its
+weight starts ramping from (none for ss), and how it turns the step's source
+and target batches into (trace, loss) pairs; one loop weights the pairs,
+sums their values and accumulates their gradients.  The rows run in the
+order ss, tu, su, ta, sa, and that order is fixed: it is the float summation
+order of the gradients, so reordering would change trained parameters.  The
+generator step runs right after ta, which keeps the draws from its noise
+stream in order.
 """
 
 from __future__ import annotations
@@ -26,16 +36,14 @@ from .dataset import DomainDataset, Priors, estimate_prior
 from .errors import NumericError, ValidationError
 from .evaluation import predict
 from .losses import (
-    LossValue,
     MmdConfig,
     adv_multilabel_loss,
     ce_loss,
     contradistinguish_loss,
     kernel_mmd,
-    multi_source_supervised,
     pseudo_label_select,
 )
-from .model import GeneratorParams, Gradients, ModelParams, backward, forward, init_params
+from .model import Gradients, ModelParams, backward, forward, init_params
 from .rng import Rng, derive_seed
 
 TERMS = ("ss", "su", "tu", "sa", "ta")
@@ -104,6 +112,10 @@ class TrainConfig:
             raise ValidationError("the ss term is the anchor and must stay enabled")
         if "tu" in seen and self.batch_size < 2:
             raise ValidationError("tu needs batch_size >= 2")
+        if "sa" in seen and isinstance(self.fake_sampler, GeneratorSettings):
+            raise ValidationError(
+                "sa needs the Gaussian fake sampler: the generator only models the target"
+            )
         for term, w in self.term_weights.items():
             if term not in TERMS + ("gen",):
                 raise ValidationError(f"unknown term weight {term!r}")
@@ -126,19 +138,10 @@ class TrainConfig:
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
     """JSON-ready view of a TrainConfig (inverse of train_config_from_dict)."""
-    if isinstance(cfg.prior_mode, Priors):
-        prior = cfg.prior_mode.probs.tolist()
-    else:
-        prior = cfg.prior_mode
-    if isinstance(cfg.fake_sampler, GeneratorSettings):
-        sampler = {
-            "noise_dim": cfg.fake_sampler.noise_dim,
-            "hidden_dims": list(cfg.fake_sampler.hidden_dims),
-            "lr": cfg.fake_sampler.lr,
-        }
-    else:
-        sampler = cfg.fake_sampler
-    gamma = cfg.mmd.gamma
+    prior = cfg.prior_mode
+    sampler = cfg.fake_sampler
+    if isinstance(sampler, GeneratorSettings):
+        sampler = {**asdict(sampler), "hidden_dims": list(sampler.hidden_dims)}
     return {
         "batch_size": cfg.batch_size,
         "epochs": cfg.epochs,
@@ -146,9 +149,9 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
         "optimizer": cfg.optimizer,
         "terms": list(cfg.enabled_terms),
         "term_weights": dict(cfg.term_weights),
-        "prior": prior,
+        "prior": prior.probs.tolist() if isinstance(prior, Priors) else prior,
         "fake_sampler": sampler,
-        "mmd_gamma": gamma,
+        "mmd_gamma": cfg.mmd.gamma,
         "hidden_dims": list(cfg.hidden_dims),
         "warmup_epochs": cfg.warmup_epochs,
         "ramp_epochs": cfg.ramp_epochs,
@@ -156,38 +159,55 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     }
 
 
-def train_config_from_dict(obj: dict) -> TrainConfig:
-    defaults = TrainConfig()
-    prior = obj.get("prior", "estimate_from_source")
-    prior_mode: Priors | str = (
-        prior if isinstance(prior, str) else Priors(np.asarray(prior, dtype=np.float64))
-    )
-    sampler = obj.get("fake_sampler", "gaussian_input")
-    fake_sampler: GeneratorSettings | str
-    if isinstance(sampler, dict):
-        fake_sampler = GeneratorSettings(
-            noise_dim=int(sampler.get("noise_dim", 8)),
-            hidden_dims=tuple(int(h) for h in sampler.get("hidden_dims", (64, 64))),
-            lr=float(sampler.get("lr", 1e-3)),
+def _ints(items) -> tuple[int, ...]:
+    return tuple(int(h) for h in items)
+
+
+def _converted(obj: dict, defaults: dict, converters: dict, where: str) -> dict:
+    """obj laid over defaults with every value converted; unknown keys fail."""
+    unknown = sorted(set(obj) - set(defaults))
+    if unknown:
+        raise ValidationError(
+            f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(defaults)}"
         )
-    else:
-        fake_sampler = sampler
-    gamma = obj.get("mmd_gamma", "median-heuristic")
-    cfg = TrainConfig(
-        batch_size=int(obj.get("batch_size", defaults.batch_size)),
-        epochs=int(obj.get("epochs", defaults.epochs)),
-        lr=float(obj.get("lr", defaults.lr)),
-        optimizer=str(obj.get("optimizer", defaults.optimizer)),
-        enabled_terms=tuple(obj.get("terms", defaults.enabled_terms)),
-        term_weights={k: float(v) for k, v in obj.get("term_weights", {}).items()},
-        prior_mode=prior_mode,
-        fake_sampler=fake_sampler,
-        mmd=MmdConfig(gamma if isinstance(gamma, str) else float(gamma)),
-        hidden_dims=tuple(int(h) for h in obj.get("hidden_dims", defaults.hidden_dims)),
-        warmup_epochs=int(obj.get("warmup_epochs", defaults.warmup_epochs)),
-        ramp_epochs=int(obj.get("ramp_epochs", defaults.ramp_epochs)),
-        seed=int(obj.get("seed", defaults.seed)),
-    )
+    out = {}
+    for key, default in defaults.items():
+        try:
+            out[key] = converters[key](obj.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad {where} value for {key!r}: {exc}") from exc
+    return out
+
+
+def train_config_from_dict(obj: dict) -> TrainConfig:
+    """Strict inverse of train_config_to_dict: unknown keys and bad values fail."""
+
+    def sampler(value):
+        if not isinstance(value, dict):
+            return value
+        converters = {"noise_dim": int, "hidden_dims": _ints, "lr": float}
+        defaults = asdict(GeneratorSettings())
+        return GeneratorSettings(**_converted(value, defaults, converters, "fake_sampler"))
+
+    converters = {
+        "batch_size": int,
+        "epochs": int,
+        "lr": float,
+        "optimizer": str,
+        "terms": tuple,
+        "term_weights": lambda w: {k: float(v) for k, v in dict(w).items()},
+        "prior": lambda p: p if isinstance(p, str) else Priors(np.asarray(p, dtype=np.float64)),
+        "fake_sampler": sampler,
+        "mmd_gamma": lambda g: MmdConfig(g if g == "median-heuristic" else float(g)),
+        "hidden_dims": _ints,
+        "warmup_epochs": int,
+        "ramp_epochs": int,
+        "seed": int,
+    }
+    v = _converted(obj, train_config_to_dict(TrainConfig()), converters, "train config")
+    for key, name in (("terms", "enabled_terms"), ("prior", "prior_mode"), ("mmd_gamma", "mmd")):
+        v[name] = v.pop(key)
+    cfg = TrainConfig(**v)
     cfg.validate()
     return cfg
 
@@ -198,7 +218,6 @@ class EpochRecord:
     losses: dict[str, float]
     total: float
     source_train_accuracy: float
-    target_train_accuracy: float | None = None
 
 
 @dataclass
@@ -319,7 +338,7 @@ def _encoder_input_grad(clf: ModelParams, x: np.ndarray, d_emb: np.ndarray) -> n
 
 
 def generator_loss(
-    gen: GeneratorParams,
+    gen: ModelParams,
     clf: ModelParams,
     noise: np.ndarray,
     target_batch: np.ndarray,
@@ -342,13 +361,13 @@ def generator_loss(
 
 
 def generator_step(
-    gen: GeneratorParams,
+    gen: ModelParams,
     clf: ModelParams,
     target_batch: np.ndarray,
     cfg: TrainConfig,
     optimizer,
     rng: Rng,
-) -> tuple[GeneratorParams, float]:
+) -> tuple[ModelParams, float]:
     """One optimizer step on the generator parameters; returns the loss."""
     if not isinstance(cfg.fake_sampler, GeneratorSettings):
         raise ValidationError("generator_step requires the generator fake sampler")
@@ -409,8 +428,6 @@ def train(
     params = init_params((d, *cfg.hidden_dims, k), derive_seed(cfg.seed, "init"))
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     prior_t = estimate_target_prior(cfg, sources)
-    if prior_t.num_classes != k:
-        raise ValidationError("target prior class count mismatch")
     source_priors = [estimate_prior(s.labels, k) for s in sources]
 
     src_streams = [
@@ -426,16 +443,45 @@ def train(
     fake_seeds_sa = Rng(derive_seed(cfg.seed, "fake/sa"))
 
     gen = None
-    gen_optimizer = None
-    gen_noise = None
-    use_generator = isinstance(cfg.fake_sampler, GeneratorSettings)
-    if use_generator:
+    if isinstance(cfg.fake_sampler, GeneratorSettings):
         gs = cfg.fake_sampler
         gen = init_params(
             (gs.noise_dim, *gs.hidden_dims, d), derive_seed(cfg.seed, "gen-init")
         )
         gen_optimizer = make_optimizer(cfg.optimizer, gs.lr)
         gen_noise = Rng(derive_seed(cfg.seed, "gen-noise"))
+
+    def target_fakes(tgt_x: np.ndarray) -> np.ndarray:
+        if gen is None:
+            return sample_fake_gaussian(tgt_x, cfg.batch_size, fake_seeds_ta.next_u64())
+        noise = gen_noise.normal(cfg.batch_size * gen.input_dim)
+        return forward(gen, noise.reshape(cfg.batch_size, gen.input_dim)).logits
+
+    def contradist(trace, prior: Priors):
+        pseudo = pseudo_label_select(trace.probs, prior)
+        return trace, contradistinguish_loss(trace, pseudo, prior)
+
+    def adversarial(fakes: np.ndarray):
+        trace = forward(params, fakes)
+        return trace, adv_multilabel_loss(trace)
+
+    # (term, epoch its ramp starts after or None, (src, tgt_x) -> [(trace, loss)])
+    # where src holds one (features, labels, trace) per source batch.  The row
+    # order is the gradient summation order; see the module docstring.
+    unsup, adv = cfg.warmup_epochs, cfg.warmup_epochs + cfg.ramp_epochs
+    table = [
+        ("ss", None, lambda src, tgt_x: [(t, ce_loss(t, y)) for _, y, t in src]),
+        ("tu", unsup, lambda src, tgt_x: [contradist(forward(params, tgt_x), prior_t)]),
+        ("su", unsup, lambda src, tgt_x: [
+            contradist(t, prior) for (_, _, t), prior in zip(src, source_priors)
+        ]),
+        ("ta", adv, lambda src, tgt_x: [adversarial(target_fakes(tgt_x))]),
+        ("sa", adv, lambda src, tgt_x: [
+            adversarial(sample_fake_gaussian(x, cfg.batch_size, fake_seeds_sa.next_u64()))
+            for x, _, _ in src
+        ]),
+    ]
+    table = [row for row in table if row[0] in terms]
 
     grads_w = [np.zeros_like(w) for w in params.weights]
     grads_b = [np.zeros_like(b) for b in params.biases]
@@ -450,10 +496,12 @@ def train(
     pooled_y = np.concatenate([s.labels for s in sources])
     n_batch = -(-max(max(s.n for s in sources), target.n) // cfg.batch_size)
     loss_keys = [t for t in TERMS if t in terms]
-    if use_generator and "ta" in terms:
+    if gen is not None and "ta" in terms:
         loss_keys.append("gen")
 
-    def stage_ramp(epoch: int, start: int) -> float:
+    def ramp(epoch: int, start: int | None) -> float:
+        if start is None:
+            return 1.0
         if epoch <= start:
             return 0.0
         if cfg.ramp_epochs == 0:
@@ -462,92 +510,34 @@ def train(
 
     history = TrainHistory()
     for epoch in range(1, cfg.epochs + 1):
-        unsup_ramp = stage_ramp(epoch, cfg.warmup_epochs)
-        adv_ramp = stage_ramp(epoch, cfg.warmup_epochs + cfg.ramp_epochs)
-        w_ss = cfg.weight("ss")
-        w_tu = unsup_ramp * cfg.weight("tu")
-        w_su = unsup_ramp * cfg.weight("su")
-        w_ta = adv_ramp * cfg.weight("ta")
-        w_sa = adv_ramp * cfg.weight("sa")
+        weights = {name: ramp(epoch, start) * cfg.weight(name) for name, start, _ in table}
         sums = {key: 0.0 for key in loss_keys}
         total_sum = 0.0
         for _ in range(n_batch):
-            for acc in grads_w:
+            for acc in grads_w + grads_b:
                 acc.fill(0.0)
-            for acc in grads_b:
-                acc.fill(0.0)
+            src = []
+            for s, stream in zip(sources, src_streams):
+                idx = stream.next()
+                x = s.features[idx]
+                src.append((x, s.labels[idx], forward(params, x)))
+            tgt_x = target.features[tgt_stream.next()]
+
             step_total = 0.0
-
-            src_batches = []  # (trace, features) per source, reused by su/sa
-            ce_values: list[LossValue] = []
-            for r, src in enumerate(sources):
-                idx = src_streams[r].next()
-                xb = src.features[idx]
-                trace = forward(params, xb)
-                lv = ce_loss(trace, src.labels[idx])
-                src_batches.append((trace, xb))
-                ce_values.append(lv)
-                if w_ss != 0.0:
-                    accumulate(w_ss, backward(params, trace, lv.dlogits))
-            ss_value = multi_source_supervised(ce_values).value
-            sums["ss"] += ss_value
-            step_total += w_ss * ss_value
-
-            tgt_batch = target.features[tgt_stream.next()]
-
-            if "tu" in terms:
-                trace = forward(params, tgt_batch)
-                pseudo = pseudo_label_select(trace.probs, prior_t)
-                lv = contradistinguish_loss(trace, pseudo, prior_t)
-                sums["tu"] += lv.value
-                step_total += w_tu * lv.value
-                if w_tu != 0.0:
-                    accumulate(w_tu, backward(params, trace, lv.dlogits))
-
-            if "su" in terms:
-                su_value = 0.0
-                for r, (trace, _) in enumerate(src_batches):
-                    pseudo = pseudo_label_select(trace.probs, source_priors[r])
-                    lv = contradistinguish_loss(trace, pseudo, source_priors[r])
-                    su_value += lv.value
-                    if w_su != 0.0:
-                        accumulate(w_su, backward(params, trace, lv.dlogits))
-                sums["su"] += su_value
-                step_total += w_su * su_value
-
-            if "ta" in terms:
-                if use_generator:
-                    noise = gen_noise.normal(
-                        cfg.batch_size * gen.input_dim
-                    ).reshape(cfg.batch_size, gen.input_dim)
-                    fakes = forward(gen, noise).logits
-                else:
-                    fakes = sample_fake_gaussian(
-                        tgt_batch, cfg.batch_size, fake_seeds_ta.next_u64()
-                    )
-                trace = forward(params, fakes)
-                lv = adv_multilabel_loss(trace)
-                sums["ta"] += lv.value
-                step_total += w_ta * lv.value
-                if w_ta != 0.0:
-                    accumulate(w_ta, backward(params, trace, lv.dlogits))
-                if use_generator:
-                    gen, gen_value = generator_step(
-                        gen, params, tgt_batch, cfg, gen_optimizer, gen_noise
+            for name, _, pairs in table:
+                w = weights[name]
+                value = 0.0
+                for trace, lv in pairs(src, tgt_x):
+                    value += lv.value
+                    if w != 0.0:
+                        accumulate(w, backward(params, trace, lv.dlogits))
+                sums[name] += value
+                step_total += w * value
+                if name == "ta" and gen is not None:
+                    _, gen_value = generator_step(
+                        gen, params, tgt_x, cfg, gen_optimizer, gen_noise
                     )
                     sums["gen"] += gen_value
-
-            if "sa" in terms:
-                sa_value = 0.0
-                for _, xb in src_batches:
-                    fakes = sample_fake_gaussian(xb, cfg.batch_size, fake_seeds_sa.next_u64())
-                    trace = forward(params, fakes)
-                    lv = adv_multilabel_loss(trace)
-                    sa_value += lv.value
-                    if w_sa != 0.0:
-                        accumulate(w_sa, backward(params, trace, lv.dlogits))
-                sums["sa"] += sa_value
-                step_total += w_sa * sa_value
 
             optimizer.step(params.weights + params.biases, grads_w + grads_b)
             total_sum += step_total
@@ -562,7 +552,6 @@ def train(
                 losses=losses,
                 total=total_sum / n_batch,
                 source_train_accuracy=source_acc,
-                target_train_accuracy=None,
             )
         )
     return params, history

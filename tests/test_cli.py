@@ -45,6 +45,25 @@ def fast_train(tmp_path, data_dir, out="run", extra=()):
     return code, out_dir
 
 
+def assert_one_line_error(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
+def train_with_config(tmp_path, text):
+    """Run train from a config file holding text; no data is needed to fail."""
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(text)
+    return main(
+        [
+            "train", "--config", str(cfg_path),
+            "--data-dir", str(tmp_path / "data"), "--sources", "d0", "--target", "d1",
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+
+
 class TestGenData:
     def test_writes_four_csvs_with_expected_rows(self, tmp_path, capsys):
         data_dir = gen(tmp_path, samples=100)
@@ -207,6 +226,39 @@ class TestTrain:
                      "--out", str(tmp_path / "flagged")]) == 0
         echoed = json.loads((tmp_path / "flagged" / "config.json").read_text())
         assert echoed["train"]["epochs"] == 1
+
+
+    def test_sa_with_generator_sampler_exits_1(self, tmp_path, capsys):
+        code, out_dir = fast_train(
+            tmp_path, tmp_path / "data", extra=("--terms", "ss,sa", "--fake-sampler", "generator")
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "sa needs the Gaussian fake sampler")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "train_section, message",
+        [
+            ({"epoch": 1}, "unknown train config key 'epoch'"),
+            ({"fake_sampler": {"noise": 2}}, "unknown fake_sampler key 'noise'"),
+            ({"epochs": "two"}, "bad train config value for 'epochs'"),
+            ({"fake_sampler": {"lr": None}}, "bad fake_sampler value for 'lr'"),
+        ],
+        ids=["unknown-key", "unknown-sampler-key", "bad-value", "bad-sampler-value"],
+    )
+    def test_bad_train_config_exits_1(self, tmp_path, capsys, train_section, message):
+        text = json.dumps({"schema_version": 1, "train": train_section})
+        assert train_with_config(tmp_path, text) == 1
+        assert_one_line_error(capsys, message)
+
+    def test_malformed_config_json_exits_1(self, tmp_path, capsys):
+        assert train_with_config(tmp_path, '{"train": {"epochs": 2') == 1
+        assert_one_line_error(capsys, "malformed JSON")
+
+    def test_unconvertible_weight_flag_exits_1(self, tmp_path, capsys):
+        code, _ = fast_train(tmp_path, tmp_path / "data", extra=("--weights", "ss=abc"))
+        assert code == 1
+        assert_one_line_error(capsys, "could not convert string to float: 'abc'")
 
 
 class TestEval:
