@@ -34,6 +34,7 @@ from .errors import (
     NumericError,
     ShapeError,
     ValidationError,
+    check_keys,
 )
 from .evaluation import compute_metrics, contour_grid, default_bounds, predict, save_contour_csv
 from .model import load_checkpoint, save_checkpoint
@@ -41,6 +42,15 @@ from .trainer import TrainConfig, train, train_config_from_dict, train_config_to
 
 SCHEMA_VERSION = 1
 THREADS_ENV = "CONTRADIST_THREADS"
+
+# JSON type of every top-level key of the gen-data and train config files
+_GEN_DATA_TYPES = dict(
+    schema_version=int, seed=int, samples_per_class=int, train_fraction=float,
+    preset=str, domains=dict, out_dir=str,
+)
+_TRAIN_TYPES = dict(
+    schema_version=int, data_dir=str, sources=list, target=str, out_dir=str, train=dict
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +74,16 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
+def _check_config(cfg: dict, types: dict, where: str) -> None:
+    """Fail on an unknown key or a value of the wrong JSON type."""
+    check_keys(cfg, types, where)
+    for key, value in cfg.items():
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            raise ValidationError(
+                f"{where} key {key!r} must be of type {types[key].__name__}, got {value!r}"
+            )
+
+
 def _echo_config(out_dir: str, name: str, obj: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
@@ -83,15 +103,16 @@ def _parse_csv_list(text: str) -> list[str]:
     return items
 
 
+def _parse_numbers(text: str, kind: type, flag: str) -> list:
+    try:
+        return [kind(item) for item in _parse_csv_list(text)]
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
-
-
-def _gen_data_domains(cfg: dict) -> dict[str, BlobSpec]:
-    if "domains" in cfg:
-        return {name: BlobSpec.from_dict(spec) for name, spec in cfg["domains"].items()}
-    return preset_domains(cfg["preset"], cfg["seed"], cfg["samples_per_class"])
 
 
 def _make_splits(
@@ -113,12 +134,8 @@ def cmd_gen_data(args) -> int:
     }
     cfg.update(_load_config_file(args.config))
     if args.preset is not None:
-        cfg["preset"] = args.preset
         cfg.pop("domains", None)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.samples_per_class is not None:
-        cfg["samples_per_class"] = args.samples_per_class
+    cfg.update(_given_flags(args, ("preset", "seed", "samples_per_class")))
     if args.out is not None:
         cfg["out_dir"] = args.out
     if "preset" not in cfg and "domains" not in cfg:
@@ -127,8 +144,12 @@ def cmd_gen_data(args) -> int:
         )
     if "out_dir" not in cfg:
         raise ValidationError("need --out (or out_dir in the config)")
+    _check_config(cfg, _GEN_DATA_TYPES, "gen-data config file")
 
-    specs = _gen_data_domains(cfg)
+    if "domains" in cfg:
+        specs = {name: BlobSpec.from_dict(spec) for name, spec in cfg["domains"].items()}
+    else:
+        specs = preset_domains(cfg["preset"], cfg["seed"], cfg["samples_per_class"])
     out_dir = cfg["out_dir"]
     _echo_config(out_dir, "gen_config.json", cfg)
     for domain_id, pair in _make_splits(specs, cfg["train_fraction"]).items():
@@ -146,8 +167,6 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_config_from_args(args, file_train: dict) -> TrainConfig:
-    if not isinstance(file_train, dict):
-        raise ValidationError("the train section of the config must be a JSON object")
     flags = _given_flags(args, ("epochs", "batch_size", "lr", "optimizer", "seed"))
     merged = {**file_train, **flags}
     if args.terms is not None:
@@ -192,7 +211,7 @@ def _load_domain(data_dir: str, name: str, suffix: str) -> DomainDataset:
     path = os.path.join(data_dir, f"{name}_{suffix}.csv")
     if not os.path.exists(path):
         raise ValidationError(f"missing dataset file {path}")
-    return load_csv(path, domain_id=name, split=suffix)
+    return load_csv(path, domain_id=name)
 
 
 def _train_and_score(
@@ -231,6 +250,7 @@ def _train_and_score(
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
+    _check_config(file_cfg, _TRAIN_TYPES, "train config file")
     data_dir = args.data_dir or file_cfg.get("data_dir")
     sources = _parse_csv_list(args.sources) if args.sources else file_cfg.get("sources")
     target = args.target or file_cfg.get("target")
@@ -284,10 +304,9 @@ def cmd_eval(args) -> int:
 def cmd_contour(args) -> int:
     params = load_checkpoint(args.checkpoint)
     if args.bounds is not None:
-        parts = [float(v) for v in _parse_csv_list(args.bounds)]
-        if len(parts) != 4:
+        bounds = tuple(_parse_numbers(args.bounds, float, "--bounds"))
+        if len(bounds) != 4:
             raise ValidationError("--bounds needs x_min,x_max,y_min,y_max")
-        bounds = (parts[0], parts[1], parts[2], parts[3])
     elif args.data is not None:
         bounds = default_bounds(load_csv(args.data).features)
     else:
@@ -335,7 +354,7 @@ def _run_sweep_cell(payload: dict) -> dict:
 def cmd_sweep(args) -> int:
     presets = _parse_csv_list(args.presets)
     term_sets = [tuple(_parse_csv_list(chunk)) for chunk in args.term_sets.split("|")]
-    seeds = [int(s) for s in _parse_csv_list(args.seeds)]
+    seeds = _parse_numbers(args.seeds, int, "--seeds")
     if args.directions == "both":
         directions = ["d0->d1", "d1->d0"]
     else:

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvParseError, ValidationError
+from .errors import CsvParseError, ValidationError, check_keys
 from .rng import Rng, derive_seed
-
-VALID_SPLITS = ("train", "test", "all")
 
 
 @dataclass(frozen=True)
@@ -55,18 +53,14 @@ class BlobSpec:
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def to_dict(self) -> dict:
-        return {
-            "classes": [{"center": list(c), "std": s} for c, s in self.classes],
-            "samples_per_class": self.samples_per_class,
-            "rotation_deg": self.rotation_deg,
-            "offset": list(self.offset),
-            "seed": self.seed,
-        }
-
     @staticmethod
     def from_dict(obj: dict) -> "BlobSpec":
+        """Parse a config spec; unknown keys and unconvertible values fail."""
+        known = ("classes", "samples_per_class", "rotation_deg", "offset", "seed")
+        check_keys(obj, known, "blob spec")
         try:
+            for c in obj["classes"]:
+                check_keys(c, ("center", "std"), "blob class")
             classes = tuple(
                 ((float(c["center"][0]), float(c["center"][1])), float(c["std"]))
                 for c in obj["classes"]
@@ -75,21 +69,20 @@ class BlobSpec:
                 classes=classes,
                 samples_per_class=int(obj["samples_per_class"]),
                 rotation_deg=float(obj.get("rotation_deg", 0.0)),
-                offset=(float(obj.get("offset", (0, 0))[0]), float(obj.get("offset", (0, 0))[1])),
+                offset=tuple(float(v) for v in obj.get("offset", (0, 0))),
                 seed=int(obj.get("seed", 0)),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(f"malformed blob spec: {exc}") from exc
 
 
 @dataclass
 class DomainDataset:
-    """Feature matrix plus optional labels for one domain/split."""
+    """Feature matrix plus optional labels for one domain."""
 
     features: np.ndarray
     labels: np.ndarray | None = None
     domain_id: str = ""
-    split: str = "all"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -103,8 +96,6 @@ class DomainDataset:
                 raise ValidationError("labels length must match feature rows")
             if self.labels.min() < 0:
                 raise ValidationError("labels must be non-negative class ids")
-        if self.split not in VALID_SPLITS:
-            raise ValidationError(f"split must be one of {VALID_SPLITS}")
 
     @property
     def n(self) -> int:
@@ -116,7 +107,7 @@ class DomainDataset:
 
     def without_labels(self) -> "DomainDataset":
         """Copy with labels dropped (how a target domain enters training)."""
-        return DomainDataset(self.features.copy(), None, self.domain_id, self.split)
+        return DomainDataset(self.features.copy(), None, self.domain_id)
 
 
 @dataclass(frozen=True)
@@ -140,7 +131,7 @@ class Priors:
         return self.probs.shape[0]
 
 
-def make_blobs(spec: BlobSpec, domain_id: str = "", split: str = "all") -> DomainDataset:
+def make_blobs(spec: BlobSpec, domain_id: str = "") -> DomainDataset:
     """Draw one labeled blob domain.
 
     Class c is sampled from an isotropic Gaussian at its center with its
@@ -160,7 +151,7 @@ def make_blobs(spec: BlobSpec, domain_id: str = "", split: str = "all") -> Domai
     )
     features = features @ rot.T + np.asarray(spec.offset, dtype=np.float64)
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), n_per)
-    return DomainDataset(features, labels, domain_id=domain_id, split=split)
+    return DomainDataset(features, labels, domain_id=domain_id)
 
 
 def split(
@@ -200,14 +191,12 @@ def split(
         order = idx[rng.permutation(n_c)]
         train_idx.append(np.sort(order[:n_train]))
         test_idx.append(np.sort(order[n_train:]))
-    tr = np.concatenate(train_idx)
-    te = np.concatenate(test_idx)
 
-    def _take(rows: np.ndarray, name: str) -> DomainDataset:
+    def _take(rows: np.ndarray) -> DomainDataset:
         labels = None if ds.labels is None else ds.labels[rows]
-        return DomainDataset(ds.features[rows], labels, ds.domain_id, name)
+        return DomainDataset(ds.features[rows], labels, ds.domain_id)
 
-    return _take(tr, "train"), _take(te, "test")
+    return _take(np.concatenate(train_idx)), _take(np.concatenate(test_idx))
 
 
 def estimate_prior(labels: np.ndarray, k: int) -> Priors:
@@ -221,30 +210,29 @@ def estimate_prior(labels: np.ndarray, k: int) -> Priors:
     return Priors(counts / labels.size)
 
 
-def _format_float(x: float) -> str:
-    # repr gives the shortest decimal that round-trips the double exactly
-    return repr(float(x))
+def write_rows(
+    path: str | os.PathLike, header: list[str], floats: np.ndarray, ints: np.ndarray
+) -> None:
+    """Write UTF-8 CSV rows of floats followed by one integer column.
 
-
-def save_csv(ds: DomainDataset, path: str | os.PathLike) -> None:
-    """Write a dataset as UTF-8 CSV; unlabeled rows carry label -1."""
-    d = ds.dim
-    header = ",".join(f"f{i}" for i in range(d)) + ",label"
-    lines = [header]
-    labels = ds.labels
-    for i in range(ds.n):
-        fields = [_format_float(v) for v in ds.features[i]]
-        fields.append(str(int(labels[i])) if labels is not None else "-1")
-        lines.append(",".join(fields))
+    repr gives the shortest decimal that round-trips each double exactly.
+    """
+    lines = [",".join(header)]
+    for row, last in zip(np.asarray(floats).tolist(), np.asarray(ints).tolist()):
+        lines.append(",".join(map(repr, row + [last])))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def save_csv(ds: DomainDataset, path: str | os.PathLike) -> None:
+    """Write a dataset as UTF-8 CSV; unlabeled rows carry label -1."""
+    header = [f"f{i}" for i in range(ds.dim)] + ["label"]
+    labels = ds.labels if ds.labels is not None else np.full(ds.n, -1)
+    write_rows(path, header, ds.features, labels)
+
+
 def load_csv(
-    path: str | os.PathLike,
-    k: int | None = None,
-    domain_id: str | None = None,
-    split: str = "all",
+    path: str | os.PathLike, k: int | None = None, domain_id: str | None = None
 ) -> DomainDataset:
     """Read a dataset CSV written by save_csv.
 
@@ -299,7 +287,7 @@ def load_csv(
         out_labels = labels
     if domain_id is None:
         domain_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return DomainDataset(features, out_labels, domain_id=domain_id, split=split)
+    return DomainDataset(features, out_labels, domain_id=domain_id)
 
 
 # ---------------------------------------------------------------------------

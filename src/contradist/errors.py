@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config key check."""
 
 
 class ContradistError(Exception):
@@ -23,3 +23,14 @@ class CsvParseError(ContradistError):
 
 class CheckpointError(ContradistError):
     """Unreadable or corrupt checkpoint file."""
+
+
+def check_keys(obj, known, where: str) -> None:
+    """Fail unless obj is a dict whose keys all lie in known; names the key."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValidationError(
+            f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(known)}"
+        )

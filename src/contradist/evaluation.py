@@ -8,8 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import write_rows
 from .errors import ValidationError
 from .model import ModelParams, forward
+
+# A grid of r x r points holds several r**2 x hidden-width float64 arrays at
+# once, so the resolution is capped before any of them is allocated.
+MAX_RESOLUTION = 1000
 
 
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -88,8 +93,8 @@ def contour_grid(
     x_min, x_max, y_min, y_max = (float(v) for v in bounds)
     if not (x_min < x_max and y_min < y_max):
         raise ValidationError("bounds must satisfy x_min < x_max and y_min < y_max")
-    if resolution < 2:
-        raise ValidationError("resolution must be >= 2")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValidationError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     xs = np.linspace(x_min, x_max, resolution)
     ys = np.linspace(y_min, y_max, resolution)
     xx, yy = np.meshgrid(xs, ys)  # y varies along rows, x along columns
@@ -115,13 +120,5 @@ def default_bounds(
 
 def save_contour_csv(grid: ContourGrid, path: str | os.PathLike) -> None:
     """Write the grid as `x,y,p0,...,p{K-1},pred` with round-trip floats."""
-    k = grid.probs.shape[1]
-    header = "x,y," + ",".join(f"p{i}" for i in range(k)) + ",pred"
-    lines = [header]
-    for (x, y), p_row, pred in zip(grid.points, grid.probs, grid.preds):
-        fields = [repr(float(x)), repr(float(y))]
-        fields.extend(repr(float(p)) for p in p_row)
-        fields.append(str(int(pred)))
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["x", "y"] + [f"p{i}" for i in range(grid.probs.shape[1])] + ["pred"]
+    write_rows(path, header, np.hstack([grid.points, grid.probs]), grid.preds)

@@ -30,15 +30,12 @@ class ModelParams:
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]  # weights[l]: (layer_dims[l], layer_dims[l+1])
     biases: list[np.ndarray]
-    activation: str = "relu"
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
         self.layer_dims = dims
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValidationError(f"need >= 2 positive layer dims, got {dims}")
-        if self.activation != "relu":
-            raise ValidationError(f"unsupported activation {self.activation!r}")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ValidationError("one weight matrix and bias vector per layer")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -60,7 +57,6 @@ class ModelParams:
             self.layer_dims,
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            self.activation,
         )
 
 
@@ -68,12 +64,13 @@ class ModelParams:
 class ForwardTrace:
     """Everything a forward pass produces that backprop needs.
 
-    activations holds the hidden-layer outputs only; the last entry is the
-    encoder embedding used by the generator's distribution-matching loss.
+    activations holds the hidden-layer ReLU outputs only; backward reads each
+    layer's ReLU mask from them, and the last entry is the encoder embedding
+    used by the generator's distribution-matching loss.  logits is the last
+    layer's affine output, and log_probs and probs its softmax.
     """
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     logits: np.ndarray
     log_probs: np.ndarray
@@ -115,18 +112,14 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     if not np.all(np.isfinite(x)):
         raise ValidationError("forward input contains non-finite values")
     a = x
-    pre, acts = [], []
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        pre.append(z)
-        if l < last:
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-    logits = pre[-1]
+    acts = []
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+        acts.append(a)
+    logits = a @ params.weights[-1] + params.biases[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return ForwardTrace(x, pre, acts, logits, log_probs, np.exp(log_probs))
+    return ForwardTrace(x, acts, logits, log_probs, np.exp(log_probs))
 
 
 def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -> Gradients:
@@ -146,7 +139,7 @@ def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -
         d_biases[l] = delta.sum(axis=0)
         delta = delta @ params.weights[l].T
         if l > 0:
-            delta = delta * (trace.pre_activations[l - 1] > 0.0)
+            delta = delta * (a_prev > 0.0)  # a ReLU output is > 0 where its input is
     return Gradients(d_weights, d_biases, delta)
 
 

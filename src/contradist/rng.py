@@ -5,7 +5,9 @@ implemented here instead of the platform RNG, so a (seed, call sequence)
 pair reproduces the same values on any machine.  Output i of a stream is
 ``mix64(seed + (i + 1) * GOLDEN)`` where ``mix64`` is the standard
 SplitMix64 finalizer; all arithmetic is modulo 2**64.  Gaussian variates
-come from the Box-Muller transform applied to the uniform stream.
+come from the Box-Muller transform applied to the uniform stream, and a
+child seed from ``derive_seed`` is output 0 of the stream seeded with the
+parent seed XOR the FNV-1a hash of a tag.
 """
 
 from __future__ import annotations
@@ -23,25 +25,17 @@ _FNV_PRIME = 0x100000001B3
 _U53_SCALE = 2.0 ** -53
 
 
-def _mix64_scalar(x: int) -> int:
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK64
-    return x ^ (x >> 31)
-
-
 def derive_seed(seed: int, tag: str) -> int:
     """Derive an independent child seed from a parent seed and a label.
 
-    The tag is hashed with FNV-1a and mixed into the seed, so distinct
-    purposes ("init", "shuffle/d0", ...) get decorrelated streams.
+    The tag is hashed with FNV-1a and XORed into the seed; the child seed is
+    the first draw of the stream seeded with the result, so distinct purposes
+    ("init", "shuffle/d0", ...) get decorrelated streams.
     """
     h = _FNV_OFFSET
     for byte in tag.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return _mix64_scalar((seed ^ h) + _GOLDEN)
+    return Rng(seed ^ h).next_u64()
 
 
 class Rng:

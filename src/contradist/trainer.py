@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .dataset import DomainDataset, Priors, estimate_prior
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_keys
 from .evaluation import predict
 from .losses import (
     MmdConfig,
@@ -165,11 +165,7 @@ def _ints(items) -> tuple[int, ...]:
 
 def _converted(obj: dict, defaults: dict, converters: dict, where: str) -> dict:
     """obj laid over defaults with every value converted; unknown keys fail."""
-    unknown = sorted(set(obj) - set(defaults))
-    if unknown:
-        raise ValidationError(
-            f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(defaults)}"
-        )
+    check_keys(obj, defaults, where)
     out = {}
     for key, default in defaults.items():
         try:

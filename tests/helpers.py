@@ -12,7 +12,6 @@ def trace_from_logits(logits) -> ForwardTrace:
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return ForwardTrace(
         inputs=np.zeros((z.shape[0], 1)),
-        pre_activations=[z],
         activations=[],
         logits=z,
         log_probs=logp,

@@ -240,7 +240,7 @@ def test_criterion_6_prior_enforcing():
     keep0 = np.flatnonzero(tgt_train.labels == 0)  # 1000 rows
     keep1 = np.flatnonzero(tgt_train.labels == 1)[:111]  # ~0.1 of the mix
     rows = np.sort(np.concatenate([keep0, keep1]))
-    skewed = DomainDataset(tgt_train.features[rows], tgt_train.labels[rows], "d1", "train")
+    skewed = DomainDataset(tgt_train.features[rows], tgt_train.labels[rows], "d1")
     prior = Priors(np.array([0.9, 0.1]))
     cfg = TrainConfig(enabled_terms=("ss", "tu"), epochs=100, seed=1, prior_mode=prior)
     params, _ = train(cfg, [src_train], skewed.without_labels())

@@ -472,3 +472,48 @@ class TestTopLevel:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["gen-data", "--bogus"]) == 1
+
+
+BLOB = {"classes": [{"center": [-1, 0], "std": 0.3}, {"center": [1, 0], "std": 0.3}],
+        "samples_per_class": 10}
+GEN = ["gen-data", "--config", "{cfg}", "--out", "{out}"]
+CONTOUR = ["contour", "--checkpoint", "{ckpt}", "--out", "{out}"]
+SWEEP = ["sweep", "--presets", "aligned", "--term-sets", "ss", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({"trian": {"epochs": 2}}, ["train", "--config", "{cfg}"],
+         "unknown train config file key 'trian'"),
+        ({"data_dir": 5}, ["train", "--config", "{cfg}"],
+         "'data_dir' must be of type str, got 5"),
+        ({"preset": "aligned", "samples_per_clas": 5}, GEN,
+         "unknown gen-data config file key 'samples_per_clas'"),
+        ({"domains": {"a": {**BLOB, "rotation": 30}}}, GEN, "unknown blob spec key 'rotation'"),
+        ({"domains": [BLOB]}, GEN, "'domains' must be of type dict"),
+        ({"preset": "aligned", "seed": "one"}, GEN, "'seed' must be of type int, got 'one'"),
+        ({"preset": "aligned", "train_fraction": "half"}, GEN,
+         "'train_fraction' must be of type float, got 'half'"),
+        (None, [*CONTOUR, "--bounds", "a,b,c,d"],
+         "--bounds: could not convert string to float: 'a'"),
+        (None, [*CONTOUR, "--bounds=-1,1,-1,1", "--resolution", "100000"],
+         "resolution must lie in [2, 1000], got 100000"),
+        (None, [*SWEEP, "--seeds", "a"], "--seeds: invalid literal for int()"),
+    ],
+    ids=[
+        "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
+        "domains-list", "gen-data-seed-str", "gen-data-fraction-str", "contour-bounds-str",
+        "contour-resolution-cap", "sweep-seeds-str",
+    ],
+)
+def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):
+    from contradist.model import init_params, save_checkpoint
+
+    cfg, ckpt, out = tmp_path / "cfg.json", tmp_path / "model.ckpt", tmp_path / "out"
+    cfg.write_text(json.dumps({"schema_version": 1, **(config or {})}))
+    save_checkpoint(init_params([2, 4, 2], 0), ckpt)
+    paths = {"cfg": str(cfg), "ckpt": str(ckpt), "out": str(out)}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert_one_line_error(capsys, message)
+    assert not out.exists()

@@ -46,8 +46,29 @@ class TestBlobSpec:
             BlobSpec(classes=(((0, 0), 1.0),), samples_per_class=5)
 
     def test_dict_round_trip(self):
+        obj = {
+            "classes": [{"center": [-2, 0], "std": 0.5}, {"center": [2.0, 0.0], "std": 0.5}],
+            "samples_per_class": 2000,
+            "rotation_deg": 30,
+            "offset": [1.0, -2],
+            "seed": 9,
+        }
         spec = two_blob_spec(rotation=30.0, offset=(1.0, -2.0), seed=9)
-        assert BlobSpec.from_dict(spec.to_dict()) == spec
+        assert BlobSpec.from_dict(obj) == spec
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"rotation": 30}, "unknown blob spec key 'rotation'"),
+            ({"classes": [{"centre": [0, 0], "std": 1}] * 2}, "unknown blob class key 'centre'"),
+            ({"rotation_deg": "steep"}, "could not convert string to float: 'steep'"),
+            ({"classes": 3}, "malformed blob spec"),
+        ],
+    )
+    def test_from_dict_rejects(self, change, message):
+        obj = {"classes": [{"center": [0, 0], "std": 1}] * 2, "samples_per_class": 5, **change}
+        with pytest.raises(ValidationError, match=message):
+            BlobSpec.from_dict(obj)
 
 
 class TestMakeBlobs:
@@ -98,7 +119,6 @@ class TestSplit:
         assert (train.n, test.n) == (2000, 2000)
         assert np.array_equal(np.bincount(train.labels), [1000, 1000])
         assert np.array_equal(np.bincount(test.labels), [1000, 1000])
-        assert train.split == "train" and test.split == "test"
 
     def test_single_sample_class_cannot_stratify(self):
         ds = DomainDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
@@ -226,6 +246,20 @@ class TestCsv:
         assert text.splitlines()[0] == "f0,f1,label"
         assert text.splitlines()[1].endswith(",-1")
         assert load_csv(path).labels is None
+
+    @pytest.mark.parametrize(
+        "labels, expected",
+        [
+            (np.array([0, 2, 1]), b"f0,f1,label\n0.1,-2.5e-310,0\n0.3333333333333333,1e+20,2\n-0.0,7.0,1\n"),
+            (None, b"f0,f1,label\n0.1,-2.5e-310,-1\n0.3333333333333333,1e+20,-1\n-0.0,7.0,-1\n"),
+        ],
+        ids=["labeled", "unlabeled"],
+    )
+    def test_exact_bytes(self, tmp_path, labels, expected):
+        features = np.array([[0.1, -2.5e-310], [1.0 / 3.0, 1e20], [-0.0, 7.0]])
+        path = tmp_path / "x.csv"
+        save_csv(DomainDataset(features, labels), path)
+        assert path.read_bytes() == expected
 
     def test_inconsistent_width_names_row_2(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -5,6 +5,8 @@ import pytest
 
 from contradist.errors import ValidationError
 from contradist.evaluation import (
+    MAX_RESOLUTION,
+    ContourGrid,
     compute_metrics,
     contour_grid,
     default_bounds,
@@ -129,6 +131,11 @@ class TestContourGrid:
         with pytest.raises(ValidationError):
             contour_grid(zero_net(), (1.0, 0.0, 0.0, 1.0), 2)
 
+    @pytest.mark.parametrize("resolution", [1, MAX_RESOLUTION + 1])
+    def test_resolution_outside_cap_rejected(self, resolution):
+        with pytest.raises(ValidationError, match="resolution must lie in"):
+            contour_grid(zero_net(), (0.0, 1.0, 0.0, 1.0), resolution)
+
     def test_default_bounds_expand_bbox_by_margin(self):
         features = np.array([[0.0, -1.0], [10.0, 3.0]])
         assert default_bounds(features) == (-2.0, 12.0, -1.8, 3.8)
@@ -147,3 +154,17 @@ class TestContourGrid:
             assert float(parts[1]) == grid.points[i, 1]
             assert float(parts[2]) == grid.probs[i, 0]
             assert int(parts[4]) == grid.preds[i]
+
+    def test_csv_exact_bytes(self, tmp_path):
+        points = np.array([[-1.0, 0.0], [0.5, 0.0], [-1.0, 2.0], [0.5, 2.0]])
+        probs = np.array([[0.25, 0.75], [1 / 3, 2 / 3], [0.9999999999999999, 1e-16], [0.5, 0.5]])
+        grid = ContourGrid(-1.0, 0.5, 0.0, 2.0, 2, points, probs, np.array([1, 1, 0, 0]))
+        path = tmp_path / "contour.csv"
+        save_contour_csv(grid, path)
+        assert path.read_bytes() == (
+            b"x,y,p0,p1,pred\n"
+            b"-1.0,0.0,0.25,0.75,1\n"
+            b"0.5,0.0,0.3333333333333333,0.6666666666666666,1\n"
+            b"-1.0,2.0,0.9999999999999999,1e-16,0\n"
+            b"0.5,2.0,0.5,0.5,0\n"
+        )

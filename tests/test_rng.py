@@ -62,3 +62,19 @@ def test_derive_seed_separates_tags_and_seeds():
     assert derive_seed(1, "a") != derive_seed(2, "a")
     assert derive_seed(1, "a") == derive_seed(1, "a")
     assert 0 <= derive_seed(123, "anything") <= MASK
+
+
+def reference_derive_seed(seed, tag):
+    """Scalar FNV-1a of the tag, XORed into the seed, then one SplitMix64 step."""
+    h = 0xCBF29CE484222325
+    for byte in tag.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & MASK
+    return reference_splitmix64(seed ^ h, 1)[0]
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 7, -1, -(2**63), -(2**70) + 3, 2**63, 2**64 - 1, 2**64, 2**64 + 9, 2**80]
+)
+def test_derive_seed_matches_scalar_reference(seed):
+    for tag in ("", "split", "init", "shuffle/d0", "rotated/d1", "\u00e9"):
+        assert derive_seed(seed, tag) == reference_derive_seed(seed, tag), tag
