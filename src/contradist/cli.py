@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -29,7 +30,6 @@ from .dataset import (
 )
 from .errors import (
     CheckpointError,
-    ContradistError,
     CsvParseError,
     NumericError,
     ShapeError,
@@ -322,17 +322,25 @@ def cmd_contour(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _sweep_cell_setup(payload: dict) -> tuple[dict[str, BlobSpec], TrainConfig]:
+    """The validated blob specs and train config of one sweep cell."""
+    specs = preset_domains(payload["preset"], payload["seed"], payload["samples_per_class"])
+    cfg = train_config_from_dict(
+        {**payload["train"], "terms": list(payload["terms"]), "seed": payload["seed"]}
+    )
+    return specs, cfg
+
+
 def _run_sweep_cell(payload: dict) -> dict:
-    """Run one (preset, direction, terms, seed) cell in its own directory."""
+    """Run one (preset, direction, terms, seed) cell in its own directory.
+
+    Any exception becomes a failed-cell record with its traceback, so one
+    bad cell cannot stop the others.
+    """
     try:
-        specs = preset_domains(
-            payload["preset"], payload["seed"], payload["samples_per_class"]
-        )
+        specs, cfg = _sweep_cell_setup(payload)
         datasets = _make_splits(specs, payload["train_fraction"])
         src_id, tgt_id = payload["direction"].split("->")
-        cfg = train_config_from_dict(
-            {**payload["train"], "terms": list(payload["terms"]), "seed": payload["seed"]}
-        )
         source_acc, target_acc = _train_and_score(
             cfg, [datasets[src_id]], datasets[tgt_id], payload["cell_dir"]
         )
@@ -347,8 +355,13 @@ def _run_sweep_cell(payload: dict) -> dict:
                 "target_acc": target_acc,
             },
         }
-    except (ContradistError, OSError) as exc:
-        return {"ok": False, "cell": payload["cell_dir"], "error": str(exc)}
+    except Exception as exc:
+        return {
+            "ok": False,
+            "cell": payload["cell_dir"],
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback.format_exc(),
+        }
 
 
 def cmd_sweep(args) -> int:
@@ -366,7 +379,6 @@ def cmd_sweep(args) -> int:
     base_train = _given_flags(args, ("epochs", "batch_size", "lr"))
 
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     cells = []
     for preset in presets:
         for direction in directions:
@@ -388,6 +400,8 @@ def cmd_sweep(args) -> int:
                             "cell_dir": os.path.join(out_dir, "cells", name),
                         }
                     )
+    for cell in cells:  # a bad setting fails here, before anything is written
+        _sweep_cell_setup(cell)
     _echo_config(
         out_dir,
         "sweep_config.json",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvParseError, ValidationError, check_keys
+from .errors import CsvParseError, ValidationError, as_int, check_keys
 from .rng import Rng, derive_seed
 
 
@@ -67,10 +67,10 @@ class BlobSpec:
             )
             return BlobSpec(
                 classes=classes,
-                samples_per_class=int(obj["samples_per_class"]),
+                samples_per_class=as_int(obj["samples_per_class"]),
                 rotation_deg=float(obj.get("rotation_deg", 0.0)),
                 offset=tuple(float(v) for v in obj.get("offset", (0, 0))),
-                seed=int(obj.get("seed", 0)),
+                seed=as_int(obj.get("seed", 0)),
             )
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ValidationError(f"malformed blob spec: {exc}") from exc

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the config key check."""
+"""Exception types shared across the package, and the config key and
+integer checks."""
+
+from numbers import Integral
 
 
 class ContradistError(Exception):
@@ -34,3 +37,16 @@ def check_keys(obj, known, where: str) -> None:
         raise ValidationError(
             f"unknown {where} key {unknown[0]!r}; known keys: {', '.join(known)}"
         )
+
+
+def as_int(value) -> int:
+    """An int from an integer or a decimal-integer string.
+
+    Booleans, floats (even integral ones) and other types raise ValueError
+    instead of being truncated.
+    """
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)

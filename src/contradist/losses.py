@@ -165,18 +165,14 @@ def adv_multilabel_loss(trace_fake: ForwardTrace) -> LossValue:
     return LossValue(value, dlogits)
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossValue:
     """Squared MMD between two embedding sets under a Gaussian kernel.
 
     k(x, x') = exp(-gamma * ||x - x'||^2); the V-statistic keeps the i = j
-    diagonal, so identical multisets give exactly zero.  Median-heuristic
-    gamma = 1 / (2 * median of squared cross distances), fixed once per
-    call and treated as a constant by the gradients.
+    diagonal, so identical multisets give zero up to rounding.  Everything
+    runs in Gram form on the stacked rows, with no (n, m, d) tensor.
+    Median-heuristic gamma = 1 / (2 * median of squared cross distances),
+    fixed once per call and treated as a constant by the gradients.
     """
     emb_a = np.asarray(emb_a, dtype=np.float64)
     emb_b = np.asarray(emb_b, dtype=np.float64)
@@ -187,9 +183,13 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossV
             f"embedding widths differ: {emb_a.shape[1]} vs {emb_b.shape[1]}"
         )
     n_a, n_b = emb_a.shape[0], emb_b.shape[0]
-    d2_ab = _sq_dists(emb_a, emb_b)
+    x = np.vstack([emb_a, emb_b])
+    sq = np.einsum("ij,ij->i", x, x)
+    norms = sq[:, None] + sq[None, :]
+    d2 = norms - 2.0 * (x @ x.T)  # ||x_i||^2 + ||x_j||^2 - 2 x_i . x_j
+    d2[d2 <= 1e-12 * norms] = 0.0  # equal rows at exactly 0, not rounding noise
     if isinstance(cfg.gamma, str):
-        med = float(np.median(d2_ab))
+        med = float(np.median(d2[:n_a, n_a:]))
         if med <= 0.0:
             raise NumericError(
                 "median squared cross-distance is zero; pass an explicit gamma"
@@ -197,22 +197,14 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossV
         gamma = 1.0 / (2.0 * med)
     else:
         gamma = float(cfg.gamma)
-    d2_aa = _sq_dists(emb_a, emb_a)
-    d2_bb = _sq_dists(emb_b, emb_b)
-    k_aa = np.exp(-gamma * d2_aa)
-    k_bb = np.exp(-gamma * d2_bb)
-    k_ab = np.exp(-gamma * d2_ab)
-    value = float(k_aa.mean() + k_bb.mean() - 2.0 * k_ab.mean())
+    k = np.exp(-gamma * d2)
+    value = float(k[:n_a, :n_a].mean() + k[n_a:, n_a:].mean() - 2.0 * k[:n_a, n_a:].mean())
 
-    # d k(x, y) / dx = -2 gamma (x - y) k(x, y), summed over every pair
-    diff_aa = emb_a[:, None, :] - emb_a[None, :, :]
-    diff_bb = emb_b[:, None, :] - emb_b[None, :, :]
-    diff_ab = emb_a[:, None, :] - emb_b[None, :, :]
-    d_a = (-4.0 * gamma / n_a**2) * np.einsum("ij,ijd->id", k_aa, diff_aa)
-    d_a += (4.0 * gamma / (n_a * n_b)) * np.einsum("ij,ijd->id", k_ab, diff_ab)
-    d_b = (-4.0 * gamma / n_b**2) * np.einsum("ij,ijd->id", k_bb, diff_bb)
-    d_b += (4.0 * gamma / (n_a * n_b)) * np.einsum("ji,jid->id", k_ab, -diff_ab)
-    return MmdLossValue(value, d_a, d_b, gamma)
+    # d k(x, y) / dx = -2 gamma (x - y) k(x, y), so with w_i = 1/n_a on the a
+    # rows and -1/n_b on the b rows, row i is -4 gamma w_i sum_j k_ij w_j (x_i - x_j)
+    w = np.concatenate([np.full(n_a, 1.0 / n_a), np.full(n_b, -1.0 / n_b)])
+    grad = (-4.0 * gamma) * w[:, None] * ((k @ w)[:, None] * x - k @ (w[:, None] * x))
+    return MmdLossValue(value, grad[:n_a], grad[n_a:], gamma)
 
 
 def multi_source_supervised(per_source_losses: Sequence[LossValue]) -> LossValue:

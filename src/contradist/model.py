@@ -101,8 +101,8 @@ def init_params(layer_dims, seed: int) -> ModelParams:
     return ModelParams(dims, weights, biases)
 
 
-def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
-    """Run the network; softmax is computed with per-row max subtraction."""
+def hidden_pass(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The checked float64 input and the hidden-layer ReLU outputs."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeError(
@@ -116,7 +116,13 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         a = np.maximum(a @ w + b, 0.0)
         acts.append(a)
-    logits = a @ params.weights[-1] + params.biases[-1]
+    return x, acts
+
+
+def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
+    """Run the network; softmax is computed with per-row max subtraction."""
+    x, acts = hidden_pass(params, x)
+    logits = (acts[-1] if acts else x) @ params.weights[-1] + params.biases[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return ForwardTrace(x, acts, logits, log_probs, np.exp(log_probs))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .dataset import DomainDataset, Priors, estimate_prior
-from .errors import NumericError, ValidationError, check_keys
+from .errors import NumericError, ValidationError, as_int, check_keys
 from .evaluation import predict
 from .losses import (
     MmdConfig,
@@ -43,7 +43,7 @@ from .losses import (
     kernel_mmd,
     pseudo_label_select,
 )
-from .model import Gradients, ModelParams, backward, forward, init_params
+from .model import Gradients, ModelParams, backward, forward, hidden_pass, init_params
 from .rng import Rng, derive_seed
 
 TERMS = ("ss", "su", "tu", "sa", "ta")
@@ -160,7 +160,7 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def _ints(items) -> tuple[int, ...]:
-    return tuple(int(h) for h in items)
+    return tuple(as_int(h) for h in items)
 
 
 def _converted(obj: dict, defaults: dict, converters: dict, where: str) -> dict:
@@ -181,13 +181,13 @@ def train_config_from_dict(obj: dict) -> TrainConfig:
     def sampler(value):
         if not isinstance(value, dict):
             return value
-        converters = {"noise_dim": int, "hidden_dims": _ints, "lr": float}
+        converters = {"noise_dim": as_int, "hidden_dims": _ints, "lr": float}
         defaults = asdict(GeneratorSettings())
         return GeneratorSettings(**_converted(value, defaults, converters, "fake_sampler"))
 
     converters = {
-        "batch_size": int,
-        "epochs": int,
+        "batch_size": as_int,
+        "epochs": as_int,
         "lr": float,
         "optimizer": str,
         "terms": tuple,
@@ -196,9 +196,9 @@ def train_config_from_dict(obj: dict) -> TrainConfig:
         "fake_sampler": sampler,
         "mmd_gamma": lambda g: MmdConfig(g if g == "median-heuristic" else float(g)),
         "hidden_dims": _ints,
-        "warmup_epochs": int,
-        "ramp_epochs": int,
-        "seed": int,
+        "warmup_epochs": as_int,
+        "ramp_epochs": as_int,
+        "seed": as_int,
     }
     v = _converted(obj, train_config_to_dict(TrainConfig()), converters, "train config")
     for key, name in (("terms", "enabled_terms"), ("prior", "prior_mode"), ("mmd_gamma", "mmd")):
@@ -322,17 +322,6 @@ class _BatchStream:
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _encoder_input_grad(clf: ModelParams, x: np.ndarray, d_emb: np.ndarray) -> np.ndarray:
-    """Gradient of a loss on the last hidden activation wrt the input."""
-    if len(clf.layer_dims) < 3:
-        raise ValidationError("classifier needs a hidden layer to expose an embedding")
-    enc = ModelParams(clf.layer_dims[:-1], clf.weights[:-1], clf.biases[:-1])
-    trace = forward(enc, x)
-    # embedding = relu(trace.logits); push the gradient through the relu
-    d_pre = d_emb * (trace.logits > 0.0)
-    return backward(enc, trace, d_pre).inputs
-
-
 def generator_loss(
     gen: ModelParams,
     clf: ModelParams,
@@ -342,17 +331,21 @@ def generator_loss(
 ) -> tuple[float, Gradients]:
     """Embedding-matching loss for the generator and its parameter gradients.
 
-    Fakes G(noise) and the real target batch are both pushed through the
-    classifier up to its last hidden layer; the kernel two-sample loss
-    between the two embedding sets is differentiated with respect to the
-    generator parameters only.
+    Fakes G(noise) and the real target batch each take one pass through the
+    classifier's hidden layers, whose last ReLU output is the embedding;
+    the kernel two-sample loss between the two embedding sets is
+    backpropagated through the fakes' activations of that same pass and
+    then through the generator, so only generator parameters get gradients.
     """
+    if len(clf.layer_dims) < 3:
+        raise ValidationError("classifier needs a hidden layer to expose an embedding")
     gen_trace = forward(gen, noise)
-    fakes = gen_trace.logits
-    emb_fake = forward(clf, fakes).activations[-1]
-    emb_real = forward(clf, np.asarray(target_batch, dtype=np.float64)).activations[-1]
-    mmd = kernel_mmd(emb_fake, emb_real, mmd_cfg)
-    d_fakes = _encoder_input_grad(clf, fakes, mmd.d_emb_a)
+    _, acts_fake = hidden_pass(clf, gen_trace.logits)
+    _, acts_real = hidden_pass(clf, target_batch)
+    mmd = kernel_mmd(acts_fake[-1], acts_real[-1], mmd_cfg)
+    d_fakes = mmd.d_emb_a
+    for l in range(len(acts_fake) - 1, -1, -1):
+        d_fakes = (d_fakes * (acts_fake[l] > 0.0)) @ clf.weights[l].T
     return mmd.value, backward(gen, gen_trace, d_fakes)
 
 

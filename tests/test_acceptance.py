@@ -32,7 +32,7 @@ from contradist.losses import (
 )
 from contradist.model import forward, init_params, load_checkpoint, save_checkpoint
 from contradist.rng import Rng
-from contradist.trainer import TrainConfig, generator_loss, train
+from contradist.trainer import GeneratorSettings, TrainConfig, generator_loss, train
 from helpers import fd_gradient, max_rel_err, trace_from_logits
 
 PRESETS = ("aligned", "rotated", "overlap-source")
@@ -64,14 +64,16 @@ def preset_data(preset: str, seed: int):
     return _dataset_cache[key]
 
 
-def run_cell(preset: str, direction: str, terms: tuple, seed: int) -> dict:
-    key = (preset, direction, terms, seed)
+def run_cell(
+    preset: str, direction: str, terms: tuple, seed: int, fake_sampler="gaussian_input"
+) -> dict:
+    key = (preset, direction, terms, seed, fake_sampler)
     if key not in _run_cache:
         data = preset_data(preset, seed)
         src_id, tgt_id = direction.split("->")
         src_train, src_test = data[src_id]
         tgt_train, tgt_test = data[tgt_id]
-        cfg = TrainConfig(enabled_terms=terms, epochs=100, seed=seed)
+        cfg = TrainConfig(enabled_terms=terms, epochs=100, seed=seed, fake_sampler=fake_sampler)
         start = time.perf_counter()
         params, history = train(cfg, [src_train], tgt_train.without_labels())
         elapsed = time.perf_counter() - start
@@ -178,6 +180,17 @@ def test_criterion_2_toy_reproduction():
         "criterion 2: toy reproduction (ss+tu+ta >= 98%)",
         ok,
         ", ".join(f"{p}: {a:.4f} in {s:.1f}s" for p, a, s in results),
+    )
+
+
+def test_criterion_2_generator_sampler_reproduction():
+    """Criterion 2's rotated cell with the generator sampler supplying the ta fakes."""
+    cell = run_cell("rotated", "d0->d1", ("ss", "tu", "ta"), 1, GeneratorSettings())
+    acc, sec = cell["target_acc"], cell["seconds"]
+    report(
+        "criterion 2 (generator sampler): toy reproduction (ss+tu+ta >= 98%)",
+        acc >= 0.98 and sec < 60.0,
+        f"rotated: {acc:.4f} in {sec:.1f}s",
     )
 
 

@@ -442,14 +442,13 @@ class TestSweep:
             )
             assert metrics["accuracy"] == float(target_acc)
 
-    def test_failed_cell_recorded_and_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CONTRADIST_THREADS", "1")
-        out_dir = tmp_path / "sweep"
-        code = main(
+    @staticmethod
+    def two_cell_sweep(out_dir):
+        return main(
             [
                 "sweep",
                 "--presets", "aligned",
-                "--term-sets", "ss|ss,bogus",
+                "--term-sets", "ss|ss,tu",
                 "--seeds", "1",
                 "--directions", "d0->d1",
                 "--samples-per-class", "60",
@@ -457,12 +456,40 @@ class TestSweep:
                 "--out", str(out_dir),
             ]
         )
-        assert code == 2
+
+    def test_failed_cell_recorded_and_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CONTRADIST_THREADS", "1")
+        out_dir = tmp_path / "sweep"
+        # a file where one cell's directory belongs makes that cell fail at run time
+        (out_dir / "cells").mkdir(parents=True)
+        (out_dir / "cells" / "aligned_d0_to_d1_ss+tu_s1").write_text("bogus")
+        assert self.two_cell_sweep(out_dir) == 2
         lines = (out_dir / "summary.csv").read_text().strip().split("\n")
         assert len(lines) == 2  # header + the cell that succeeded
         failures = json.loads((out_dir / "failures.json").read_text())
         assert len(failures) == 1
-        assert "bogus" in failures[0]["error"]
+        assert "aligned_d0_to_d1_ss+tu_s1" in failures[0]["error"]
+
+    def test_any_cell_exception_becomes_a_failed_cell(self, tmp_path, monkeypatch, capsys):
+        import contradist.cli as cli
+
+        monkeypatch.setenv("CONTRADIST_THREADS", "1")
+        real = cli._train_and_score
+
+        def flaky(cfg, sources, target, out_dir):
+            if "tu" in cfg.enabled_terms:
+                raise ZeroDivisionError("injected")
+            return real(cfg, sources, target, out_dir)
+
+        monkeypatch.setattr(cli, "_train_and_score", flaky)
+        out_dir = tmp_path / "sweep"
+        assert self.two_cell_sweep(out_dir) == 2
+        lines = (out_dir / "summary.csv").read_text().strip().split("\n")
+        assert len(lines) == 2
+        failures = json.loads((out_dir / "failures.json").read_text())
+        assert [f["error"] for f in failures] == ["ZeroDivisionError: injected"]
+        assert "in flaky" in failures[0]["traceback"]
+        assert "cell failed:" in capsys.readouterr().err
 
 
 class TestTopLevel:
@@ -479,6 +506,8 @@ BLOB = {"classes": [{"center": [-1, 0], "std": 0.3}, {"center": [1, 0], "std": 0
 GEN = ["gen-data", "--config", "{cfg}", "--out", "{out}"]
 CONTOUR = ["contour", "--checkpoint", "{ckpt}", "--out", "{out}"]
 SWEEP = ["sweep", "--presets", "aligned", "--term-sets", "ss", "--out", "{out}"]
+TRAIN = ["train", "--config", "{cfg}", "--out", "{out}"]
+TRAIN_PATHS = {"data_dir": "data", "sources": ["d0"], "target": "d1"}
 
 
 @pytest.mark.parametrize(
@@ -500,11 +529,35 @@ SWEEP = ["sweep", "--presets", "aligned", "--term-sets", "ss", "--out", "{out}"]
         (None, [*CONTOUR, "--bounds=-1,1,-1,1", "--resolution", "100000"],
          "resolution must lie in [2, 1000], got 100000"),
         (None, [*SWEEP, "--seeds", "a"], "--seeds: invalid literal for int()"),
+        ({**TRAIN_PATHS, "train": {"epochs": 2.7}}, TRAIN,
+         "bad train config value for 'epochs': expected an integer, got 2.7"),
+        ({**TRAIN_PATHS, "train": {"seed": True}}, TRAIN,
+         "bad train config value for 'seed': expected an integer, got True"),
+        ({**TRAIN_PATHS, "train": {"batch_size": 64.9}}, TRAIN,
+         "bad train config value for 'batch_size': expected an integer, got 64.9"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {"noise_dim": 2.5}}}, TRAIN,
+         "bad fake_sampler value for 'noise_dim': expected an integer, got 2.5"),
+        ({"domains": {"a": {**BLOB, "samples_per_class": 10.9}}}, GEN,
+         "malformed blob spec: expected an integer, got 10.9"),
+        ({"domains": {"a": {**BLOB, "seed": 3.5}}}, GEN,
+         "malformed blob spec: expected an integer, got 3.5"),
+        ({"domains": {"a": {**BLOB, "seed": True}}}, GEN,
+         "malformed blob spec: expected an integer, got True"),
+        (None, [*SWEEP, "--seeds", "1", "--samples-per-class", "0"],
+         "samples_per_class must be >= 1"),
+        (None, [*SWEEP, "--seeds", "1", "--lr", "-1"], "lr must be a finite non-negative real"),
+        (None, [*SWEEP, "--seeds", "1", "--epochs", "-1"], "epochs must be >= 0"),
+        (None, [*SWEEP, "--seeds", "1", "--term-sets", "ss|ss,bogus"],
+         "unknown loss term 'bogus'"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
         "domains-list", "gen-data-seed-str", "gen-data-fraction-str", "contour-bounds-str",
-        "contour-resolution-cap", "sweep-seeds-str",
+        "contour-resolution-cap", "sweep-seeds-str", "train-epochs-fraction", "train-seed-bool",
+        "train-batch-size-fraction", "generator-noise-dim-fraction",
+        "blob-samples-per-class-fraction", "blob-seed-fraction", "blob-seed-bool",
+        "sweep-samples-per-class-0", "sweep-lr-negative", "sweep-epochs-negative",
+        "sweep-unknown-term",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):

@@ -271,9 +271,12 @@ def mmd_oracle(a, b, gamma):
 class TestKernelMmd:
     def test_identical_multisets_give_zero(self):
         rng = np.random.default_rng(0)
-        emb = rng.normal(size=(5, 3))
-        lv = kernel_mmd(emb, emb.copy(), MmdConfig(gamma=0.7))
-        assert abs(lv.value) <= 1e-9
+        for n, d in ((5, 3), (128, 64)):
+            emb = rng.normal(size=(n, d))
+            for other in (emb.copy(), emb[rng.permutation(n)]):
+                for gamma in (0.7, "median-heuristic"):
+                    lv = kernel_mmd(emb, other, MmdConfig(gamma=gamma))
+                    assert abs(lv.value) <= 1e-9
 
     def test_singletons_closed_form(self):
         a = np.array([[1.0, 2.0]])
@@ -316,6 +319,42 @@ class TestKernelMmd:
         a = np.array([[1.0, 1.0]])
         with pytest.raises(NumericError):
             kernel_mmd(a, a.copy(), MmdConfig())
+
+    def test_collapsed_rows_raise_under_median_heuristic(self):
+        # Gram-form rounding must not leave equal rows a tiny distance apart
+        for seed in range(50):
+            row = np.random.default_rng(seed).normal(size=64)
+            a = np.tile(row, (5, 1))
+            with pytest.raises(NumericError):
+                kernel_mmd(a, a.copy(), MmdConfig())
+
+    @pytest.mark.parametrize("gamma", [0.01, "median-heuristic"])
+    def test_matches_direct_difference_form(self, gamma):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(128, 64))
+        b = rng.normal(loc=0.3, size=(96, 64))
+        lv = kernel_mmd(a, b, MmdConfig(gamma=gamma))
+
+        # the (n, m, d) difference-tensor reference
+        diff_aa = a[:, None, :] - a[None, :, :]
+        diff_bb = b[:, None, :] - b[None, :, :]
+        diff_ab = a[:, None, :] - b[None, :, :]
+        d2_ab = (diff_ab**2).sum(-1)
+        g = 1.0 / (2.0 * np.median(d2_ab)) if isinstance(gamma, str) else gamma
+        k_aa = np.exp(-g * (diff_aa**2).sum(-1))
+        k_bb = np.exp(-g * (diff_bb**2).sum(-1))
+        k_ab = np.exp(-g * d2_ab)
+        n_a, n_b = len(a), len(b)
+        value = k_aa.mean() + k_bb.mean() - 2.0 * k_ab.mean()
+        d_a = (-4 * g / n_a**2) * np.einsum("ij,ijd->id", k_aa, diff_aa)
+        d_a += (4 * g / (n_a * n_b)) * np.einsum("ij,ijd->id", k_ab, diff_ab)
+        d_b = (-4 * g / n_b**2) * np.einsum("ij,ijd->id", k_bb, diff_bb)
+        d_b -= (4 * g / (n_a * n_b)) * np.einsum("ji,jid->id", k_ab, diff_ab)
+
+        assert lv.gamma == pytest.approx(g, rel=1e-10)
+        assert lv.value == pytest.approx(value, rel=1e-10)
+        for got, want in ((lv.d_emb_a, d_a), (lv.d_emb_b, d_b)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))

@@ -5,8 +5,8 @@ import pytest
 
 from contradist.dataset import BlobSpec, DomainDataset, Priors, make_blobs, split
 from contradist.errors import ValidationError
-from contradist.losses import MmdConfig
-from contradist.model import init_params
+from contradist.losses import MmdConfig, kernel_mmd
+from contradist.model import ModelParams, backward, forward, init_params
 from contradist.rng import Rng
 from contradist.trainer import (
     Adam,
@@ -88,6 +88,29 @@ class TestConfigValidation:
     def test_dict_round_trip(self):
         cfg = quick_cfg(fake_sampler=GeneratorSettings(noise_dim=3), term_weights={"tu": 0.5})
         assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
+
+    def test_integer_fields_accept_ints_and_integer_strings(self):
+        cfg = train_config_from_dict(
+            {"epochs": "3", "seed": 5, "hidden_dims": ["16", 8], "fake_sampler": {"noise_dim": "2"}}
+        )
+        assert (cfg.epochs, cfg.seed, cfg.hidden_dims) == (3, 5, (16, 8))
+        assert cfg.fake_sampler.noise_dim == 2
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"epochs": 2.7},
+            {"epochs": 3.0},
+            {"seed": True},
+            {"batch_size": 64.9},
+            {"warmup_epochs": "1.5"},
+            {"hidden_dims": [16, 8.5]},
+            {"fake_sampler": {"noise_dim": False}},
+        ],
+    )
+    def test_integer_fields_reject_bools_and_fractions(self, obj):
+        with pytest.raises(ValidationError, match="expected an integer|invalid literal"):
+            train_config_from_dict(obj)
 
 
 class TestSampleFakeGaussian:
@@ -280,6 +303,48 @@ class TestGeneratorStep:
                 first = value
             last = value
         assert last < first
+
+    def test_matches_two_pass_reference_bit_for_bit(self):
+        for seed in range(5):
+            gen = init_params((3, 8, 4), 10 + seed)
+            clf = init_params((4, 6, 5, 3), 20 + seed)
+            rng = np.random.default_rng(seed)
+            for params in (gen, clf):
+                for b in params.biases:
+                    b += rng.normal(scale=0.1, size=b.shape)
+            noise = rng.normal(size=(9, 3))
+            batch = rng.normal(size=(7, 4))
+            cfg = MmdConfig()
+            value, grads = generator_loss(gen, clf, noise, batch, cfg)
+
+            # full forwards, then an encoder network whose output layer is
+            # the last hidden layer's affine map, backpropagated explicitly
+            gen_trace = forward(gen, noise)
+            fakes = gen_trace.logits
+            mmd = kernel_mmd(
+                forward(clf, fakes).activations[-1],
+                forward(clf, batch).activations[-1],
+                cfg,
+            )
+            enc = ModelParams(clf.layer_dims[:-1], clf.weights[:-1], clf.biases[:-1])
+            enc_trace = forward(enc, fakes)
+            d_pre = mmd.d_emb_a * (enc_trace.logits > 0.0)
+            d_fakes = backward(enc, enc_trace, d_pre).inputs
+            want = backward(gen, gen_trace, d_fakes)
+
+            assert value == mmd.value
+            for got_list, want_list in (
+                (grads.weights, want.weights),
+                (grads.biases, want.biases),
+            ):
+                for got_g, want_g in zip(got_list, want_list):
+                    assert np.array_equal(got_g, want_g)
+
+    def test_classifier_without_hidden_layer_rejected(self):
+        clf = init_params((2, 3), 1)
+        noise = np.zeros((4, 2))
+        with pytest.raises(ValidationError, match="needs a hidden layer"):
+            generator_loss(self.gen, clf, noise, self.batch, MmdConfig(gamma=0.5))
 
     def test_gradient_matches_finite_differences(self):
         noise = np.random.default_rng(5).normal(size=(6, 2))
