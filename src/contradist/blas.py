@@ -2,9 +2,11 @@
 
 OpenBLAS splits a product over its threads once m * n * k passes about
 2.6e5, which the Gram and kernel products of kernel_mmd (two batches of
-128 rows, 64 wide) do.  At these sizes the split product takes about as
-long as one thread, costs twice the CPU time and page faults for its
-buffers, and its wall time follows whatever else runs on the other cores.
+128 rows, 64 wide) do.  At these sizes the split product is no faster
+than one thread (the 256-row Gram product took 4.0 ms on two threads and
+0.32 ms on one, on a 2-vCPU VM), costs up to twice the CPU time, pages in
+fresh memory on every call, and its wall time follows whatever else runs
+on the other cores.
 `one_thread()` caps the OpenBLAS that NumPy loaded at one thread for a
 block and restores the previous count; where no OpenBLAS with a
 thread-count setter is loaded it does nothing.  The count is process-wide,
