@@ -1,18 +1,22 @@
-"""One BLAS thread for the small products of a generator step.
+"""One BLAS thread for the whole of `train`.
 
 OpenBLAS splits a product over its threads once m * n * k passes about
-2.6e5, which the Gram and kernel products of kernel_mmd (two batches of
-128 rows, 64 wide) do.  At these sizes the split product is no faster
-than one thread (the 256-row Gram product took 4.0 ms on two threads and
-0.32 ms on one, on a 2-vCPU VM), costs up to twice the CPU time, pages in
-fresh memory on every call, and its wall time follows whatever else runs
-on the other cores.
+2.6e5, which training's products do (batch forwards and backwards, the
+kernel_mmd Gram products, the per-epoch pooled predict).  At these sizes
+the split product is no faster than one thread (the 256-row Gram product
+took 4.0 ms on two threads and 0.32 ms on one, on a 2-vCPU VM), costs up
+to twice the CPU time, and waits for cores that other work holds, such as
+the other worker of a `sweep`.  So `trainer.train` runs under
+`one_thread()`; `eval`, `contour` and the scoring predicts after training
+keep the default thread count.
+
 `one_thread()` caps the OpenBLAS that NumPy loaded at one thread for a
-block and restores the previous count; where no OpenBLAS with a
-thread-count setter is loaded it does nothing.  The count is process-wide,
-so other Python threads run under the cap during the block too.  OpenBLAS
-splits a product over its rows and columns, never along the summed
-dimension, so the thread count does not change any result.
+block or, as a decorator, for a call, and restores the previous count;
+where no OpenBLAS with a thread-count setter is loaded it does nothing.
+The count is process-wide, so other Python threads run under the cap
+during the block too.  OpenBLAS splits a product over its rows and
+columns, never along the summed dimension, so the thread count does not
+change any result.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from .errors import (
     check_keys,
 )
 from .evaluation import compute_metrics, contour_grid, default_bounds, predict, save_contour_csv
+from .files import write_atomic
 from .model import load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, train, train_config_from_dict, train_config_to_dict
 
@@ -86,9 +87,7 @@ def _check_config(cfg: dict, types: dict, where: str) -> None:
 
 def _echo_config(out_dir: str, name: str, obj: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    write_atomic(os.path.join(out_dir, name), [json.dumps(obj, indent=2) + "\n"])
 
 
 def _given_flags(args, names: tuple[str, ...]) -> dict:
@@ -243,8 +242,7 @@ def _train_and_score(
         compute_metrics(predict(params, target_test.features), target_test.labels, k),
     )
     for m, name in zip(metrics, ("source_test", "target_test")):
-        with open(os.path.join(out_dir, f"metrics_{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(m.to_json() + "\n")
+        write_atomic(os.path.join(out_dir, f"metrics_{name}.json"), [m.to_json() + "\n"])
     return metrics[0].accuracy, metrics[1].accuracy
 
 
@@ -296,8 +294,7 @@ def cmd_eval(args) -> int:
     metrics = compute_metrics(predict(params, ds.features), ds.labels, params.num_classes)
     print(metrics.to_json())
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(metrics.to_json() + "\n")
+        write_atomic(args.out, [metrics.to_json() + "\n"])
     return 0
 
 
@@ -426,16 +423,17 @@ def cmd_sweep(args) -> int:
 
     rows = [res["row"] for res in results if res["ok"]]
     failures = [res for res in results if not res["ok"]]
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("preset,direction,terms,seed,source_acc,target_acc\n")
-        for row in rows:
-            fh.write(
-                f"{row['preset']},{row['direction']},{row['terms']},{row['seed']},"
-                f"{row['source_acc']!r},{row['target_acc']!r}\n"
-            )
+    write_atomic(
+        os.path.join(out_dir, "summary.csv"),
+        ["preset,direction,terms,seed,source_acc,target_acc\n"]
+        + [
+            f"{row['preset']},{row['direction']},{row['terms']},{row['seed']},"
+            f"{row['source_acc']!r},{row['target_acc']!r}\n"
+            for row in rows
+        ],
+    )
     if failures:
-        with open(os.path.join(out_dir, "failures.json"), "w", encoding="utf-8") as fh:
-            json.dump(failures, fh, indent=2)
+        write_atomic(os.path.join(out_dir, "failures.json"), [json.dumps(failures, indent=2)])
         for failure in failures:
             print(f"cell failed: {failure['cell']}: {failure['error']}", file=sys.stderr)
     print(f"{len(rows)} of {len(cells)} cells succeeded; summary in {out_dir}/summary.csv")

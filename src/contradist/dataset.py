@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvParseError, ValidationError, as_int, check_keys
+from .errors import CsvParseError, ValidationError, as_float, as_int, check_keys
+from .files import write_atomic
 from .rng import Rng, derive_seed
 
 
@@ -62,14 +63,14 @@ class BlobSpec:
             for c in obj["classes"]:
                 check_keys(c, ("center", "std"), "blob class")
             classes = tuple(
-                ((float(c["center"][0]), float(c["center"][1])), float(c["std"]))
+                ((as_float(c["center"][0]), as_float(c["center"][1])), as_float(c["std"]))
                 for c in obj["classes"]
             )
             return BlobSpec(
                 classes=classes,
                 samples_per_class=as_int(obj["samples_per_class"]),
-                rotation_deg=float(obj.get("rotation_deg", 0.0)),
-                offset=tuple(float(v) for v in obj.get("offset", (0, 0))),
+                rotation_deg=as_float(obj.get("rotation_deg", 0.0)),
+                offset=tuple(as_float(v) for v in obj.get("offset", (0, 0))),
                 seed=as_int(obj.get("seed", 0)),
             )
         except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -210,18 +211,27 @@ def estimate_prior(labels: np.ndarray, k: int) -> Priors:
     return Priors(counts / labels.size)
 
 
+_ROW_BLOCK = 8192  # rows write_rows formats at a time
+
+
 def write_rows(
     path: str | os.PathLike, header: list[str], floats: np.ndarray, ints: np.ndarray
 ) -> None:
     """Write UTF-8 CSV rows of floats followed by one integer column.
 
     repr gives the shortest decimal that round-trips each double exactly.
+    Rows are formatted in blocks, so a million-row contour grid never holds
+    all of its lines in memory at once.
     """
-    lines = [",".join(header)]
-    for row, last in zip(np.asarray(floats).tolist(), np.asarray(ints).tolist()):
-        lines.append(",".join(map(repr, row + [last])))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    floats, ints = np.asarray(floats), np.asarray(ints)
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for i in range(0, len(ints), _ROW_BLOCK):
+            rows = zip(floats[i : i + _ROW_BLOCK].tolist(), ints[i : i + _ROW_BLOCK].tolist())
+            yield "".join(",".join(map(repr, row + [last])) + "\n" for row, last in rows)
+
+    write_atomic(path, blocks())
 
 
 def save_csv(ds: DomainDataset, path: str | os.PathLike) -> None:

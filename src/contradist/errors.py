@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the config key and
-integer checks."""
+"""Exception types shared across the package, and the config key, integer
+and float checks."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ContradistError(Exception):
@@ -50,3 +50,16 @@ def as_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value) -> float:
+    """A float from a real number or a decimal string.
+
+    Booleans and other types raise ValueError instead of turning into 1.0
+    or 0.0.
+    """
+    if isinstance(value, str):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)

@@ -12,9 +12,11 @@ from .dataset import write_rows
 from .errors import ValidationError
 from .model import ModelParams, forward
 
-# A grid of r x r points holds several r**2 x hidden-width float64 arrays at
-# once, so the resolution is capped before any of them is allocated.
+# The grid runs through the network CHUNK_ROWS points at a time, so only the
+# points and their probabilities grow with r**2, not the hidden activations.
+# The resolution is capped before any grid array is allocated.
 MAX_RESOLUTION = 1000
+CHUNK_ROWS = 8192
 
 
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -99,9 +101,11 @@ def contour_grid(
     ys = np.linspace(y_min, y_max, resolution)
     xx, yy = np.meshgrid(xs, ys)  # y varies along rows, x along columns
     points = np.column_stack([xx.ravel(), yy.ravel()])
-    trace = forward(params, points)
-    preds = np.argmax(trace.probs, axis=1).astype(np.int64)
-    return ContourGrid(x_min, x_max, y_min, y_max, resolution, points, trace.probs, preds)
+    probs = np.empty((len(points), params.num_classes))
+    for i in range(0, len(points), CHUNK_ROWS):
+        probs[i : i + CHUNK_ROWS] = forward(params, points[i : i + CHUNK_ROWS]).probs
+    preds = np.argmax(probs, axis=1).astype(np.int64)
+    return ContourGrid(x_min, x_max, y_min, y_max, resolution, points, probs, preds)
 
 
 def default_bounds(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError, ShapeError, ValidationError
+from .files import write_atomic
 from .rng import Rng
 
 _MAGIC = b"CDST"
@@ -156,8 +157,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     for w, b in zip(params.weights, params.biases):
         chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, chunks)
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -34,8 +34,9 @@ import numpy as np
 
 from .blas import one_thread
 from .dataset import DomainDataset, Priors, estimate_prior
-from .errors import NumericError, ValidationError, as_int, check_keys
+from .errors import NumericError, ValidationError, as_float, as_int, check_keys
 from .evaluation import predict
+from .files import write_atomic
 from .losses import (
     MmdConfig,
     adv_multilabel_loss,
@@ -182,20 +183,20 @@ def train_config_from_dict(obj: dict) -> TrainConfig:
     def sampler(value):
         if not isinstance(value, dict):
             return value
-        converters = {"noise_dim": as_int, "hidden_dims": _ints, "lr": float}
+        converters = {"noise_dim": as_int, "hidden_dims": _ints, "lr": as_float}
         defaults = asdict(GeneratorSettings())
         return GeneratorSettings(**_converted(value, defaults, converters, "fake_sampler"))
 
     converters = {
         "batch_size": as_int,
         "epochs": as_int,
-        "lr": float,
+        "lr": as_float,
         "optimizer": str,
         "terms": tuple,
-        "term_weights": lambda w: {k: float(v) for k, v in dict(w).items()},
+        "term_weights": lambda w: {k: as_float(v) for k, v in dict(w).items()},
         "prior": lambda p: p if isinstance(p, str) else Priors(np.asarray(p, dtype=np.float64)),
         "fake_sampler": sampler,
-        "mmd_gamma": lambda g: MmdConfig(g if g == "median-heuristic" else float(g)),
+        "mmd_gamma": lambda g: MmdConfig(g if g == "median-heuristic" else as_float(g)),
         "hidden_dims": _ints,
         "warmup_epochs": as_int,
         "ramp_epochs": as_int,
@@ -222,9 +223,7 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
 
     def save_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(asdict(rec)) + "\n")
+        write_atomic(path, (json.dumps(asdict(rec)) + "\n" for rec in self.records))
 
 
 class Adam:
@@ -363,8 +362,7 @@ def generator_step(
         raise ValidationError("generator_step requires the generator fake sampler")
     n_f = np.asarray(target_batch).shape[0]
     noise = rng.normal(n_f * gen.input_dim).reshape(n_f, gen.input_dim)
-    with one_thread():
-        value, grads = generator_loss(gen, clf, noise, target_batch, cfg.mmd)
+    value, grads = generator_loss(gen, clf, noise, target_batch, cfg.mmd)
     w = cfg.weight("gen")
     if w != 0.0:
         optimizer.step(
@@ -401,6 +399,7 @@ def _validate_inputs(
     return k
 
 
+@one_thread()
 def train(
     cfg: TrainConfig, sources: list[DomainDataset], target: DomainDataset
 ) -> tuple[ModelParams, TrainHistory]:
@@ -409,7 +408,8 @@ def train(
     Per epoch there are ceil(max(n_s, n_t) / batch_size) steps; each step
     draws one batch per source and one target batch, accumulates the
     enabled loss gradients, and applies one optimizer update.  Everything
-    is deterministic given (cfg, datasets).
+    is deterministic given (cfg, datasets).  The whole call runs on one
+    BLAS thread (see contradist.blas), which changes no result.
     """
     cfg.validate()
     k = _validate_inputs(cfg, sources, target)

@@ -1,19 +1,46 @@
-"""The one-thread BLAS cap: restores the count and changes no result."""
+"""The one-thread BLAS cap: covers train, restores the count, changes no result."""
 
 import numpy as np
 import pytest
 
-from contradist import blas
+from contradist import blas, trainer
+from contradist.dataset import BlobSpec, make_blobs
+from contradist.errors import NumericError, ValidationError
 from contradist.losses import MmdConfig
-from contradist.model import init_params
-from contradist.trainer import generator_loss
+from contradist.model import backward, forward, init_params
+from contradist.trainer import GeneratorSettings, TrainConfig, generator_loss
 
 
-def test_cap_holds_inside_the_block_and_restores_the_count():
+def controls_or_skip():
     controls = blas._controls()
     if controls is None:
         pytest.skip("no OpenBLAS with a thread-count setter is loaded")
-    get, set_ = controls
+    return controls
+
+
+@pytest.fixture
+def threads():
+    """OpenBLAS at two threads for the test; yields the thread-count getter."""
+    get, set_ = controls_or_skip()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def tiny_run():
+    """A two-epoch generator-sampler run: every step kind and two predicts."""
+    spec = BlobSpec(classes=(((-2.0, 0.0), 0.4), ((2.0, 0.0), 0.4)), samples_per_class=40)
+    source = make_blobs(spec, "d0")
+    cfg = TrainConfig(
+        batch_size=16, epochs=2, warmup_epochs=0, ramp_epochs=0, hidden_dims=(8,), seed=1,
+        fake_sampler=GeneratorSettings(noise_dim=2, hidden_dims=(4,)),
+    )
+    return cfg, [source], source.without_labels()
+
+
+def test_cap_holds_inside_the_block_and_restores_the_count():
+    get, set_ = controls_or_skip()
     before = get()
     try:
         set_(2)
@@ -29,10 +56,7 @@ def test_cap_holds_inside_the_block_and_restores_the_count():
 
 
 def test_nested_caps_leave_the_outer_count():
-    controls = blas._controls()
-    if controls is None:
-        pytest.skip("no OpenBLAS with a thread-count setter is loaded")
-    get, _ = controls
+    get, _ = controls_or_skip()
     before = get()
     with blas.one_thread():
         with blas.one_thread():
@@ -54,4 +78,51 @@ def test_generator_loss_is_bit_equal_with_and_without_the_cap():
     v2, g2 = generator_loss(gen, clf, noise, batch, MmdConfig())
     assert v1 == v2
     for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
+        assert np.array_equal(a, b)
+
+
+def test_train_runs_every_step_on_one_thread_and_restores_the_count(threads, monkeypatch):
+    seen = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, set()).add(threads())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, wrapped)
+
+    for name in ("backward", "generator_loss", "predict"):
+        recording(name, getattr(trainer, name))
+    trainer.train(*tiny_run())
+    assert seen == {"backward": {1}, "generator_loss": {1}, "predict": {1}}
+    assert threads() == 2
+
+
+@pytest.mark.parametrize("error", [NumericError, ValidationError])
+def test_train_restores_the_count_when_it_raises(threads, monkeypatch, error):
+    def failing_backward(*args, **kwargs):
+        assert threads() == 1
+        raise error("inside the loop")
+
+    monkeypatch.setattr(trainer, "backward", failing_backward)
+    with pytest.raises(error, match="inside the loop"):
+        trainer.train(*tiny_run())
+    assert threads() == 2
+
+
+@pytest.mark.parametrize("batch", [128, 384])
+def test_classifier_step_is_bit_equal_on_one_and_two_threads(batch):
+    _, set_ = controls_or_skip()
+    params = init_params((2, 64, 64, 3), 6)
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 2))
+    dlogits = rng.normal(size=(batch, 3))
+    results = []
+    with blas.one_thread():  # restores the count after the two settings
+        for count in (1, 2):
+            set_(count)
+            trace = forward(params, x)
+            grads = backward(params, trace, dlogits)
+            results.append([trace.probs, *grads.weights, *grads.biases])
+    for a, b in zip(*results):
         assert np.array_equal(a, b)

@@ -1,5 +1,6 @@
 """End-to-end command behavior, exit codes, and file outputs."""
 
+import errno
 import json
 import os
 
@@ -259,6 +260,45 @@ class TestTrain:
         code, _ = fast_train(tmp_path, tmp_path / "data", extra=("--weights", "ss=abc"))
         assert code == 1
         assert_one_line_error(capsys, "could not convert string to float: 'abc'")
+
+    @pytest.mark.parametrize(
+        "artifact",
+        ["model.ckpt", "history.jsonl", "metrics_source_test.json", "metrics_target_test.json"],
+    )
+    def test_write_failing_midway_leaves_no_partial_artifact(
+        self, tmp_path, capsys, monkeypatch, artifact
+    ):
+        from contradist import files
+
+        class HalfWrite:
+            """Takes half of the first chunk, then fails like a full disk."""
+
+            def __init__(self, path):
+                self._fh = open(path, "wb")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, data):
+                self._fh.write(data[: len(data) // 2])
+                self._fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fake_open(path, mode):
+            if os.path.basename(path).startswith(artifact):
+                return HalfWrite(path)
+            return open(path, mode)
+
+        data_dir = gen(tmp_path)
+        monkeypatch.setattr(files, "open", fake_open, raising=False)
+        code, out_dir = fast_train(tmp_path, data_dir)
+        assert code == 2
+        assert_one_line_error(capsys, "No space left on device")
+        names = os.listdir(out_dir)
+        assert artifact not in names and not any(n.endswith(".tmp") for n in names)
 
 
 class TestEval:
@@ -549,6 +589,22 @@ TRAIN_PATHS = {"data_dir": "data", "sources": ["d0"], "target": "d1"}
         (None, [*SWEEP, "--seeds", "1", "--epochs", "-1"], "epochs must be >= 0"),
         (None, [*SWEEP, "--seeds", "1", "--term-sets", "ss|ss,bogus"],
          "unknown loss term 'bogus'"),
+        ({**TRAIN_PATHS, "train": {"lr": True}}, TRAIN,
+         "bad train config value for 'lr': expected a number, got True"),
+        ({**TRAIN_PATHS, "train": {"term_weights": {"tu": False}}}, TRAIN,
+         "bad train config value for 'term_weights': expected a number, got False"),
+        ({**TRAIN_PATHS, "train": {"mmd_gamma": True}}, TRAIN,
+         "bad train config value for 'mmd_gamma': expected a number, got True"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {"lr": True}}}, TRAIN,
+         "bad fake_sampler value for 'lr': expected a number, got True"),
+        ({"domains": {"a": {**BLOB, "rotation_deg": True}}}, GEN,
+         "malformed blob spec: expected a number, got True"),
+        ({"domains": {"a": {**BLOB, "offset": [0, False]}}}, GEN,
+         "malformed blob spec: expected a number, got False"),
+        ({"domains": {"a": {**BLOB, "classes": [{"center": [True, 0], "std": 0.3}] * 2}}}, GEN,
+         "malformed blob spec: expected a number, got True"),
+        ({"domains": {"a": {**BLOB, "classes": [{"center": [0, 0], "std": True}] * 2}}}, GEN,
+         "malformed blob spec: expected a number, got True"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -557,7 +613,9 @@ TRAIN_PATHS = {"data_dir": "data", "sources": ["d0"], "target": "d1"}
         "train-batch-size-fraction", "generator-noise-dim-fraction",
         "blob-samples-per-class-fraction", "blob-seed-fraction", "blob-seed-bool",
         "sweep-samples-per-class-0", "sweep-lr-negative", "sweep-epochs-negative",
-        "sweep-unknown-term",
+        "sweep-unknown-term", "train-lr-bool", "train-weight-bool", "train-mmd-gamma-bool",
+        "generator-lr-bool", "blob-rotation-bool", "blob-offset-bool", "blob-center-bool",
+        "blob-std-bool",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):

@@ -63,6 +63,10 @@ class TestBlobSpec:
             ({"classes": [{"centre": [0, 0], "std": 1}] * 2}, "unknown blob class key 'centre'"),
             ({"rotation_deg": "steep"}, "could not convert string to float: 'steep'"),
             ({"classes": 3}, "malformed blob spec"),
+            ({"rotation_deg": True}, "expected a number, got True"),
+            ({"offset": [0, False]}, "expected a number, got False"),
+            ({"classes": [{"center": [True, 0], "std": 1}] * 2}, "expected a number, got True"),
+            ({"classes": [{"center": [0, 0], "std": True}] * 2}, "expected a number, got True"),
         ],
     )
     def test_from_dict_rejects(self, change, message):

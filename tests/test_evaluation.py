@@ -5,6 +5,7 @@ import pytest
 
 from contradist.errors import ValidationError
 from contradist.evaluation import (
+    CHUNK_ROWS,
     MAX_RESOLUTION,
     ContourGrid,
     compute_metrics,
@@ -13,7 +14,7 @@ from contradist.evaluation import (
     predict,
     save_contour_csv,
 )
-from contradist.model import init_params
+from contradist.model import forward, init_params
 
 
 def zero_net(k=3):
@@ -119,6 +120,15 @@ class TestContourGrid:
         grid = contour_grid(params, (-3.0, 3.0, -1.0, 1.0), 4)
         assert np.max(np.abs(grid.probs.sum(axis=1) - 1.0)) <= 1e-6
 
+    def test_chunked_grid_matches_one_shot_forward(self):
+        # 100**2 rows: one full CHUNK_ROWS chunk and a partial one
+        params = init_params([2, 64, 64, 3], 11)
+        grid = contour_grid(params, (-3.0, 3.0, -2.0, 2.0), 100)
+        assert len(grid.points) > CHUNK_ROWS
+        one_shot = forward(params, grid.points).probs
+        assert np.max(np.abs(grid.probs - one_shot)) <= 1e-12
+        assert np.array_equal(grid.preds, np.argmax(one_shot, axis=1))
+
     def test_row_count_is_resolution_squared(self):
         grid = contour_grid(zero_net(), (0.0, 1.0, 0.0, 1.0), 7)
         assert grid.points.shape[0] == 49
@@ -154,6 +164,15 @@ class TestContourGrid:
             assert float(parts[1]) == grid.points[i, 1]
             assert float(parts[2]) == grid.probs[i, 0]
             assert int(parts[4]) == grid.preds[i]
+
+    def test_csv_bytes_do_not_depend_on_the_row_block(self, tmp_path, monkeypatch):
+        from contradist import dataset
+
+        grid = contour_grid(init_params([2, 6, 2], 9), (-1.3, 2.7, -0.9, 1.1), 4)
+        save_contour_csv(grid, tmp_path / "whole.csv")
+        monkeypatch.setattr(dataset, "_ROW_BLOCK", 3)
+        save_contour_csv(grid, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_csv_exact_bytes(self, tmp_path):
         points = np.array([[-1.0, 0.0], [0.5, 0.0], [-1.0, 2.0], [0.5, 2.0]])

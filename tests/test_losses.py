@@ -319,8 +319,11 @@ class TestKernelMmd:
         cross = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
         gamma = 1.0 / (2.0 * np.median(cross))
         auto = kernel_mmd(a, b, MmdConfig())
-        manual = kernel_mmd(a, b, MmdConfig(gamma=float(gamma)))
+        # the heuristic's own gamma, so equality does not hang on rounding
+        manual = kernel_mmd(a, b, MmdConfig(gamma=auto.gamma))
         assert auto.value == manual.value
+        assert np.array_equal(auto.d_emb_a, manual.d_emb_a)
+        assert np.array_equal(auto.d_emb_b, manual.d_emb_b)
         assert auto.gamma == pytest.approx(gamma)
 
     def test_zero_median_distance_raises(self):

@@ -112,6 +112,28 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="expected an integer|invalid literal"):
             train_config_from_dict(obj)
 
+    def test_float_fields_accept_numbers_and_numeric_strings(self):
+        cfg = train_config_from_dict(
+            {"lr": "0.01", "term_weights": {"tu": 2, "ta": "0.5"}, "mmd_gamma": 3,
+             "fake_sampler": {"lr": np.float32(0.5)}}
+        )
+        assert (cfg.lr, cfg.term_weights, cfg.mmd.gamma) == (0.01, {"tu": 2.0, "ta": 0.5}, 3.0)
+        assert cfg.fake_sampler.lr == 0.5
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"lr": True},
+            {"term_weights": {"tu": False}},
+            {"mmd_gamma": True},
+            {"fake_sampler": {"lr": True}},
+            {"lr": [0.1]},
+        ],
+    )
+    def test_float_fields_reject_bools(self, obj):
+        with pytest.raises(ValidationError, match="expected a number"):
+            train_config_from_dict(obj)
+
 
 class TestSampleFakeGaussian:
     def test_constant_column_stays_constant(self):
