@@ -362,6 +362,11 @@ def _run_sweep_cell(payload: dict) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    threads = os.environ.get(THREADS_ENV, str(os.cpu_count() or 1))
+    try:
+        workers = int(threads)
+    except ValueError as exc:
+        raise ValidationError(f"{THREADS_ENV} must be an integer, got {threads!r}") from exc
     presets = _parse_csv_list(args.presets)
     term_sets = [tuple(_parse_csv_list(chunk)) for chunk in args.term_sets.split("|")]
     seeds = _parse_numbers(args.seeds, int, "--seeds")
@@ -413,7 +418,6 @@ def cmd_sweep(args) -> int:
         },
     )
 
-    workers = int(os.environ.get(THREADS_ENV, os.cpu_count() or 1))
     workers = max(1, min(workers, len(cells)))
     if workers == 1:
         results = [_run_sweep_cell(cell) for cell in cells]

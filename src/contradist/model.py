@@ -4,15 +4,18 @@ The same parameter structure doubles as the toy generator network (noise in,
 feature vector out); generator callers read the raw ``logits`` of the trace
 as the network output and never touch ``probs``.
 
+All parameters live in one contiguous float64 vector, ``flat``, in the order
+``W0, b0, W1, b1, ...`` (weights row-major); ``weights[l]`` and ``biases[l]``
+are reshaped views into it.  Gradients share the layout.
+
 Checkpoint format: magic ``CDST``, u32 format version, u32 layer-dim count,
-the dims as u32, then per layer the weight matrix (row-major) and bias
-vector as little-endian float64.
+the dims as u32, then ``flat`` as little-endian float64.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,26 +27,47 @@ _MAGIC = b"CDST"
 _FORMAT_VERSION = 1
 
 
+def _checked_dims(layer_dims) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ValidationError(f"need >= 2 positive layer dims, got {dims}")
+    return dims
+
+
+def _views(dims, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into flat, laid out W0, b0, W1, b1, ..."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 @dataclass
 class ModelParams:
-    """Weights and biases of a ReLU MLP; layer_dims = [d, h1, ..., K]."""
+    """ReLU MLP parameters, layer_dims = [d, h1, ..., K].
+
+    The given arrays are copied into a new flat; weights and biases become views of it."""
 
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]  # weights[l]: (layer_dims[l], layer_dims[l+1])
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
-        self.layer_dims = dims
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ValidationError(f"need >= 2 positive layer dims, got {dims}")
+        dims = self.layer_dims = _checked_dims(self.layer_dims)
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ValidationError("one weight matrix and bias vector per layer")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (dims[l], dims[l + 1]) or b.shape != (dims[l + 1],):
                 raise ValidationError(f"layer {l}: shapes inconsistent with dims")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValidationError(f"layer {l}: non-finite parameters")
+        parts = [np.ravel(a) for wb in zip(self.weights, self.biases) for a in wb]
+        self.flat = np.concatenate(parts, dtype=np.float64)
+        if not np.all(np.isfinite(self.flat)):
+            raise ValidationError("non-finite parameters")
+        self.weights, self.biases = _views(dims, self.flat)
 
     @property
     def input_dim(self) -> int:
@@ -54,11 +78,7 @@ class ModelParams:
         return self.layer_dims[-1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.layer_dims,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return ModelParams(self.layer_dims, self.weights, self.biases)
 
 
 @dataclass
@@ -80,8 +100,9 @@ class ForwardTrace:
 
 @dataclass
 class Gradients:
-    """Loss gradients shaped like ModelParams, plus the input gradient."""
+    """Parameter gradients in ModelParams' layout (flat, with views), plus the input's."""
 
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     inputs: np.ndarray
@@ -89,9 +110,7 @@ class Gradients:
 
 def init_params(layer_dims, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValidationError(f"need >= 2 positive layer dims, got {dims}")
+    dims = _checked_dims(layer_dims)
     rng = Rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -136,27 +155,24 @@ def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -
         raise ShapeError(
             f"dl_dlogits shape {dl_dlogits.shape} != logits shape {trace.logits.shape}"
         )
-    n_layers = len(params.weights)
-    d_weights: list[np.ndarray | None] = [None] * n_layers
-    d_biases: list[np.ndarray | None] = [None] * n_layers
+    flat = np.empty_like(params.flat)
+    d_weights, d_biases = _views(params.layer_dims, flat)
     delta = dl_dlogits
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(len(params.weights) - 1, -1, -1):
         a_prev = trace.activations[l - 1] if l > 0 else trace.inputs
-        d_weights[l] = a_prev.T @ delta
-        d_biases[l] = delta.sum(axis=0)
+        np.matmul(a_prev.T, delta, out=d_weights[l])
+        delta.sum(axis=0, out=d_biases[l])
         delta = delta @ params.weights[l].T
         if l > 0:
             delta = delta * (a_prev > 0.0)  # a ReLU output is > 0 where its input is
-    return Gradients(d_weights, d_biases, delta)
+    return Gradients(flat, d_weights, d_biases, delta)
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     dims = params.layer_dims
     chunks = [_MAGIC, struct.pack("<II", _FORMAT_VERSION, len(dims))]
     chunks.append(struct.pack(f"<{len(dims)}I", *dims))
-    for w, b in zip(params.weights, params.biases):
-        chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    chunks.append(params.flat.astype("<f8").tobytes())
     write_atomic(path, chunks)
 
 
@@ -179,15 +195,8 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(
             f"{path}: expected {expected} bytes for dims {dims}, got {len(data)}"
         )
-    weights, biases = [], []
-    for fi, fo in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(data, dtype="<f8", count=fi * fo, offset=offset).reshape(fi, fo)
-        offset += 8 * fi * fo
-        b = np.frombuffer(data, dtype="<f8", count=fo, offset=offset)
-        offset += 8 * fo
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
-    try:
-        return ModelParams(dims, weights, biases)
+    flat = np.frombuffer(data, dtype="<f8", offset=offset)
+    try:  # ModelParams copies the views into its own writable vector
+        return ModelParams(dims, *_views(dims, flat))
     except ValidationError as exc:
         raise CheckpointError(f"{path}: invalid parameters: {exc}") from exc

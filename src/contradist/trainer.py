@@ -227,39 +227,35 @@ class TrainHistory:
 
 
 class Adam:
-    """Classic first/second-moment optimizer with bias correction."""
+    """Classic first/second-moment optimizer with bias correction, on one flat vector."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
         self._t = 0
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, a: np.ndarray, g: np.ndarray) -> None:
         if self._m is None:
-            self._m = [np.zeros_like(a) for a in arrays]
-            self._v = [np.zeros_like(a) for a in arrays]
+            self._m, self._v = np.zeros_like(a), np.zeros_like(a)
         self._t += 1
-        c1 = 1.0 - self.beta1**self._t
-        c2 = 1.0 - self.beta2**self._t
-        for a, g, m, v in zip(arrays, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            a -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        c1 = 1.0 - self.BETA1**self._t
+        c2 = 1.0 - self.BETA2**self._t
+        self._m *= self.BETA1
+        self._m += (1.0 - self.BETA1) * g
+        self._v *= self.BETA2
+        self._v += (1.0 - self.BETA2) * g * g
+        a -= self.lr * (self._m / c1) / (np.sqrt(self._v / c2) + self.EPS)
 
 
 class Sgd:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for a, g in zip(arrays, grads):
-            a -= self.lr * g
+    def step(self, a: np.ndarray, g: np.ndarray) -> None:
+        a -= self.lr * g
 
 
 def make_optimizer(name: str, lr: float):
@@ -365,10 +361,7 @@ def generator_step(
     value, grads = generator_loss(gen, clf, noise, target_batch, cfg.mmd)
     w = cfg.weight("gen")
     if w != 0.0:
-        optimizer.step(
-            gen.weights + gen.biases,
-            [w * g for g in grads.weights] + [w * g for g in grads.biases],
-        )
+        optimizer.step(gen.flat, w * grads.flat)
     return gen, value
 
 
@@ -474,15 +467,7 @@ def train(
     ]
     table = [row for row in table if row[0] in terms]
 
-    grads_w = [np.zeros_like(w) for w in params.weights]
-    grads_b = [np.zeros_like(b) for b in params.biases]
-
-    def accumulate(scale: float, grads: Gradients) -> None:
-        for acc, g in zip(grads_w, grads.weights):
-            acc += scale * g
-        for acc, g in zip(grads_b, grads.biases):
-            acc += scale * g
-
+    grad = np.zeros_like(params.flat)
     pooled_x = np.vstack([s.features for s in sources])
     pooled_y = np.concatenate([s.labels for s in sources])
     n_batch = -(-max(max(s.n for s in sources), target.n) // cfg.batch_size)
@@ -505,8 +490,7 @@ def train(
         sums = {key: 0.0 for key in loss_keys}
         total_sum = 0.0
         for _ in range(n_batch):
-            for acc in grads_w + grads_b:
-                acc.fill(0.0)
+            grad.fill(0.0)
             src = []
             for s, stream in zip(sources, src_streams):
                 idx = stream.next()
@@ -521,7 +505,7 @@ def train(
                 for trace, lv in pairs(src, tgt_x):
                     value += lv.value
                     if w != 0.0:
-                        accumulate(w, backward(params, trace, lv.dlogits))
+                        grad += w * backward(params, trace, lv.dlogits).flat
                 sums[name] += value
                 step_total += w * value
                 if name == "ta" and gen is not None:
@@ -530,7 +514,7 @@ def train(
                     )
                     sums["gen"] += gen_value
 
-            optimizer.step(params.weights + params.biases, grads_w + grads_b)
+            optimizer.step(params.flat, grad)
             total_sum += step_total
 
         losses = {key: sums[key] / n_batch for key in loss_keys}

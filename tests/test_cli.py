@@ -482,6 +482,14 @@ class TestSweep:
             )
             assert metrics["accuracy"] == float(target_acc)
 
+    def test_non_integer_threads_env_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CONTRADIST_THREADS", "abc")
+        out_dir = tmp_path / "sweep"
+        assert self.two_cell_sweep(out_dir) == 1
+        assert_one_line_error(capsys, "CONTRADIST_THREADS must be an integer, got 'abc'")
+        assert not (out_dir / "sweep_config.json").exists()
+        assert not out_dir.exists()
+
     @staticmethod
     def two_cell_sweep(out_dir):
         return main(

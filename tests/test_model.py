@@ -1,6 +1,7 @@
 """Forward/backward correctness against naive and finite-difference oracles."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -43,9 +44,46 @@ class TestInit:
             assert np.max(np.abs(w)) <= bound
 
     def test_rejects_empty_or_bad_dims(self):
-        for dims in ([], [4], [2, 0, 2]):
+        for dims in ([], [4], [2, 0, 2], [2, -3, 2]):
             with pytest.raises(ValidationError):
                 init_params(dims, 0)
+            with pytest.raises(ValidationError):
+                ModelParams(dims, [], [])
+
+
+class TestFlatLayout:
+    def test_weights_and_biases_are_views_of_flat(self):
+        params = init_params([2, 3, 2], 0)
+        before = [w.copy() for w in params.weights]
+        params.flat += 1.0
+        for w, old in zip(params.weights, before):
+            assert np.array_equal(w, old + 1.0)
+        for b in params.biases:
+            assert np.all(b == 1.0)
+
+    def test_flat_is_in_checkpoint_order(self):
+        params = init_params([3, 4, 2], 1)
+        parts = [params.weights[0], params.biases[0], params.weights[1], params.biases[1]]
+        assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in parts]))
+
+    def test_construction_and_copy_share_no_memory(self):
+        w, b = np.ones((2, 2)), np.zeros(2)
+        params = ModelParams((2, 2), [w], [b])
+        w[0, 0] = 5.0
+        assert params.weights[0][0, 0] == 1.0
+        dup = params.copy()
+        assert not np.shares_memory(dup.flat, params.flat)
+        dup.flat[:] = 7.0
+        assert np.all(params.weights[0] == 1.0)
+        assert np.all(dup.weights[0] == 7.0)
+
+    def test_gradients_flat_matches_its_views(self):
+        params = init_params([2, 5, 4, 3], 2)
+        trace = forward(params, np.random.default_rng(0).normal(size=(6, 2)))
+        grads = backward(params, trace, np.random.default_rng(1).normal(size=(6, 3)))
+        parts = [a.ravel() for wb in zip(grads.weights, grads.biases) for a in wb]
+        assert np.array_equal(grads.flat, np.concatenate(parts))
+        assert grads.flat.shape == params.flat.shape
 
 
 class TestForward:
@@ -225,6 +263,25 @@ class TestCheckpoint:
         assert back.layer_dims == params.layer_dims
         for a, b in zip(params.weights + params.biases, back.weights + back.biases):
             assert np.array_equal(a, b)
+
+    def test_golden_bytes(self, tmp_path):
+        params = init_params((2, 3, 2), 0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        want = b"CDST" + struct.pack("<II", 1, 3) + struct.pack("<3I", 2, 3, 2)
+        for w, b in zip(params.weights, params.biases):
+            want += w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+        assert path.read_bytes() == want
+
+    def test_loaded_params_are_writable_and_own_their_memory(self, tmp_path):
+        params = init_params((2, 3, 2), 0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, path)
+        back = load_checkpoint(path)
+        assert back.flat.flags.writeable and back.flat.flags.owndata
+        assert not np.shares_memory(back.flat, params.flat)
+        back.weights[0][0, 0] += 1.0
+        assert back.flat[0] == params.flat[0] + 1.0
 
     def test_forward_identical_after_round_trip(self, tmp_path):
         params = init_params([2, 8, 3], 5)
