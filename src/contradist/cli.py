@@ -367,6 +367,8 @@ def cmd_sweep(args) -> int:
         workers = int(threads)
     except ValueError as exc:
         raise ValidationError(f"{THREADS_ENV} must be an integer, got {threads!r}") from exc
+    if workers < 1:
+        raise ValidationError(f"{THREADS_ENV} must be at least 1, got {threads!r}")
     presets = _parse_csv_list(args.presets)
     term_sets = [tuple(_parse_csv_list(chunk)) for chunk in args.term_sets.split("|")]
     seeds = _parse_numbers(args.seeds, int, "--seeds")
@@ -418,7 +420,7 @@ def cmd_sweep(args) -> int:
         },
     )
 
-    workers = max(1, min(workers, len(cells)))
+    workers = min(workers, len(cells))
     if workers == 1:
         results = [_run_sweep_cell(cell) for cell in cells]
     else:

@@ -125,4 +125,4 @@ def default_bounds(
 def save_contour_csv(grid: ContourGrid, path: str | os.PathLike) -> None:
     """Write the grid as `x,y,p0,...,p{K-1},pred` with round-trip floats."""
     header = ["x", "y"] + [f"p{i}" for i in range(grid.probs.shape[1])] + ["pred"]
-    write_rows(path, header, np.hstack([grid.points, grid.probs]), grid.preds)
+    write_rows(path, header, [*grid.points.T, *grid.probs.T, grid.preds])

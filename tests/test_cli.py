@@ -490,6 +490,16 @@ class TestSweep:
         assert not (out_dir / "sweep_config.json").exists()
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_non_positive_threads_env_is_a_one_line_error(
+        self, tmp_path, monkeypatch, capsys, threads
+    ):
+        monkeypatch.setenv("CONTRADIST_THREADS", threads)
+        out_dir = tmp_path / "sweep"
+        assert self.two_cell_sweep(out_dir) == 1
+        assert_one_line_error(capsys, f"CONTRADIST_THREADS must be at least 1, got '{threads}'")
+        assert not out_dir.exists()
+
     @staticmethod
     def two_cell_sweep(out_dir):
         return main(

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from contradist import dataset
 from contradist.dataset import (
     BlobSpec,
     DomainDataset,
@@ -18,6 +19,7 @@ from contradist.dataset import (
     preset_names,
     save_csv,
     split,
+    write_rows,
 )
 from contradist.errors import CsvParseError, ValidationError
 
@@ -265,6 +267,21 @@ class TestCsv:
         save_csv(DomainDataset(features, labels), path)
         assert path.read_bytes() == expected
 
+    def test_signed_zeros_in_one_column_keep_their_signs(self, tmp_path):
+        features = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])
+        path = tmp_path / "z.csv"
+        save_csv(DomainDataset(features, np.array([0, 0, 1, 1])), path)
+        assert path.read_bytes() == (
+            b"f0,f1,label\n0.0,1.0,0\n-0.0,1.0,0\n0.0,-0.0,1\n-0.0,0.0,1\n"
+        )
+
+    def test_csv_bytes_do_not_depend_on_the_row_block(self, tmp_path, monkeypatch):
+        ds = make_blobs(two_blob_spec(samples=5, rotation=13.0, seed=3))
+        save_csv(ds, tmp_path / "whole.csv")
+        monkeypatch.setattr(dataset, "_ROW_BLOCK", 3)
+        save_csv(ds, tmp_path / "blocks.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_inconsistent_width_names_row_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,1\n")
@@ -300,6 +317,53 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(CsvParseError):
             load_csv(path)
+
+
+# Doubles where repr is easy to get wrong: signed zeros, the smallest and
+# largest subnormals, and both sides of the switches to exponent form.
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e-05, 9.999999999999999e-06, 0.0001, 1e16, 9999999999999998.0, 1e+17,
+]
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+_ROWS = st.integers(1, 4).flatmap(
+    lambda k: st.lists(
+        st.tuples(
+            st.lists(_FLOATS, min_size=k, max_size=k),
+            st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-(2**63), 2**63 - 1)),
+        ),
+        max_size=12,
+    )
+)
+
+
+class TestWriteRows:
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS)
+    @example(
+        rows=[
+            ([0.0, 1e-05], -1),
+            ([-0.0, 9.999999999999999e-06], 0),
+            ([5e-324, 1e16], -1),
+            ([0.0, 9999999999999998.0], 2),
+            ([-0.0, -5e-324], -1),
+        ]
+    )
+    def test_bytes_equal_repr_of_each_row(self, tmp_path_factory, block, rows):
+        """Deduplicating by bit pattern, in any block size, changes no byte."""
+        k = len(rows[0][0]) if rows else 1
+        floats = np.array([f for f, _ in rows], dtype=np.float64).reshape(len(rows), k)
+        ints = np.array([i for _, i in rows], dtype=np.int64)
+        header = [f"f{j}" for j in range(k)] + ["label"]
+        path = tmp_path_factory.getbasetemp() / f"rows-{block}.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_ROW_BLOCK", block)
+            write_rows(path, header, [*floats.T, ints])
+        expected = "".join(",".join(map(repr, [*f, i])) + "\n" for f, i in rows)
+        assert path.read_bytes() == (",".join(header) + "\n" + expected).encode()
 
 
 class TestPresets:
