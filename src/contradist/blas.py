@@ -1,14 +1,20 @@
-"""One BLAS thread for the whole of `train`.
+"""One BLAS thread for every network pass.
+
+The rule: every network pass runs on one BLAS thread.  `trainer.train`,
+`evaluation.predict` and `evaluation.contour_grid` run under `one_thread()`;
+together they cover training, its per-epoch predict, the scoring predicts
+after it, `eval`, `contour`, each `sweep` worker and library callers.
 
 OpenBLAS splits a product over its threads once m * n * k passes about
-2.6e5, which training's products do (batch forwards and backwards, the
-kernel_mmd Gram products, the per-epoch pooled predict).  At these sizes
-the split product is no faster than one thread (the 256-row Gram product
-took 4.0 ms on two threads and 0.32 ms on one, on a 2-vCPU VM), costs up
-to twice the CPU time, and waits for cores that other work holds, such as
-the other worker of a `sweep`.  So `trainer.train` runs under
-`one_thread()`; `eval`, `contour` and the scoring predicts after training
-keep the default thread count.
+2.6e5, which these products do.  At these sizes the split product is
+slower than one thread, and after it returns OpenBLAS's second thread
+busy-waits on a core that other work needs, such as the other worker of a
+`sweep`.  On a 2-vCPU VM: 200 back-to-back 1000 x 64 x 64 products took
+5.2 ms each on two threads and 0.53 ms on one; a fresh process's 1000-row
+`predict` or 300 x 300 `contour_grid` left about 125 ms of CPU burned
+after it returned on two threads and none on one.  Capping `predict` and
+`contour_grid` as well as `train` cut `sweep` `run_s_p50` from 1.69 to
+1.42 s and its `cpu_s` from 2.94 to 2.35 s (12 pairs, `BENCH_69faffa.json`).
 
 `one_thread()` caps the OpenBLAS that NumPy loaded at one thread for a
 block or, as a decorator, for a call, and restores the previous count;

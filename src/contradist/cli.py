@@ -404,7 +404,11 @@ def cmd_sweep(args) -> int:
                             "cell_dir": os.path.join(out_dir, "cells", name),
                         }
                     )
+    seen = set()
     for cell in cells:  # a bad setting fails here, before anything is written
+        if cell["cell_dir"] in seen:
+            raise ValidationError(f"repeated sweep cell {os.path.basename(cell['cell_dir'])}")
+        seen.add(cell["cell_dir"])
         _sweep_cell_setup(cell)
     _echo_config(
         out_dir,
@@ -525,6 +529,10 @@ def main(argv=None) -> int:
         return 1
     except (NumericError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_thread
 from .dataset import write_rows
 from .errors import ValidationError
 from .model import ModelParams, forward
@@ -19,6 +20,7 @@ MAX_RESOLUTION = 1000
 CHUNK_ROWS = 8192
 
 
+@one_thread()
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Per-row argmax of the softmax output; ties go to the lowest class."""
     return np.argmax(forward(params, x).probs, axis=1).astype(np.int64)
@@ -86,6 +88,7 @@ class ContourGrid:
     preds: np.ndarray  # (resolution**2,)
 
 
+@one_thread()
 def contour_grid(
     params: ModelParams, bounds: tuple[float, float, float, float], resolution: int
 ) -> ContourGrid:

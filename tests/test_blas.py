@@ -1,13 +1,15 @@
-"""The one-thread BLAS cap: covers train, restores the count, changes no result."""
+"""The one-thread BLAS cap: covers every network pass, restores the count,
+changes no result."""
 
 import numpy as np
 import pytest
 
-from contradist import blas, trainer
-from contradist.dataset import BlobSpec, make_blobs
+from contradist import blas, evaluation, trainer
+from contradist.cli import main
+from contradist.dataset import BlobSpec, make_blobs, save_csv
 from contradist.errors import NumericError, ValidationError
 from contradist.losses import MmdConfig
-from contradist.model import backward, forward, init_params
+from contradist.model import backward, forward, init_params, save_checkpoint
 from contradist.trainer import GeneratorSettings, TrainConfig, generator_loss
 
 
@@ -26,6 +28,19 @@ def threads():
     set_(2)
     yield get
     set_(before)
+
+
+def record_threads(monkeypatch, threads, module, name):
+    """Wrap module.name to note the thread count of each call; returns the set."""
+    seen = set()
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        seen.add(threads())
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return seen
 
 
 def tiny_run():
@@ -82,17 +97,10 @@ def test_generator_loss_is_bit_equal_with_and_without_the_cap():
 
 
 def test_train_runs_every_step_on_one_thread_and_restores_the_count(threads, monkeypatch):
-    seen = {}
-
-    def recording(name, fn):
-        def wrapped(*args, **kwargs):
-            seen.setdefault(name, set()).add(threads())
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, name, wrapped)
-
-    for name in ("backward", "generator_loss", "predict"):
-        recording(name, getattr(trainer, name))
+    seen = {
+        name: record_threads(monkeypatch, threads, trainer, name)
+        for name in ("backward", "generator_loss", "predict")
+    }
     trainer.train(*tiny_run())
     assert seen == {"backward": {1}, "generator_loss": {1}, "predict": {1}}
     assert threads() == 2
@@ -126,3 +134,60 @@ def test_classifier_step_is_bit_equal_on_one_and_two_threads(batch):
             results.append([trace.probs, *grads.weights, *grads.biases])
     for a, b in zip(*results):
         assert np.array_equal(a, b)
+
+
+def test_predict_runs_forward_on_one_thread_and_restores_the_count(threads, monkeypatch):
+    seen = record_threads(monkeypatch, threads, evaluation, "forward")
+    params = init_params((2, 8, 2), 1)
+    evaluation.predict(params, np.zeros((5, 2)))
+    assert seen == {1}
+    assert threads() == 2
+
+
+def test_contour_grid_runs_forward_on_one_thread_and_restores_the_count(threads, monkeypatch):
+    seen = record_threads(monkeypatch, threads, evaluation, "forward")
+    params = init_params((2, 8, 2), 1)
+    evaluation.contour_grid(params, (-1.0, 1.0, -1.0, 1.0), 100)  # two chunks
+    assert seen == {1}
+    assert threads() == 2
+    with pytest.raises(ValidationError, match="resolution"):
+        evaluation.contour_grid(params, (-1.0, 1.0, -1.0, 1.0), 1)
+    assert threads() == 2
+
+
+def test_cli_network_passes_all_run_on_one_thread(threads, monkeypatch, tmp_path):
+    monkeypatch.setenv("CONTRADIST_THREADS", "1")
+    seen = {
+        module.__name__: record_threads(monkeypatch, threads, module, "forward")
+        for module in (evaluation, trainer)
+    }
+    spec = BlobSpec(classes=(((-2.0, 0.0), 0.4), ((2.0, 0.0), 0.4)), samples_per_class=20)
+    data, ckpt = tmp_path / "d.csv", tmp_path / "model.ckpt"
+    save_csv(make_blobs(spec, "d0"), data)
+    save_checkpoint(init_params((2, 8, 2), 1), ckpt)
+    runs = [
+        ["eval", "--checkpoint", str(ckpt), "--data", str(data)],
+        ["contour", "--checkpoint", str(ckpt), "--data", str(data), "--resolution", "20",
+         "--out", str(tmp_path / "contour.csv")],
+        ["sweep", "--presets", "aligned", "--term-sets", "ss,tu", "--seeds", "1",
+         "--directions", "d0->d1", "--samples-per-class", "30", "--epochs", "1",
+         "--out", str(tmp_path / "sweep")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        assert threads() == 2
+    assert seen == {"contradist.evaluation": {1}, "contradist.trainer": {1}}
+
+
+def test_capped_contour_grid_is_bit_equal_to_a_two_thread_forward(threads):
+    # 64-wide hidden layers over 8100 grid points: past OpenBLAS's threading
+    # threshold, so the uncapped forward may split its products over two
+    # threads.  The grid is one chunk: the last bit of an OpenBLAS product
+    # can depend on its row count, so a chunked pass may differ from a
+    # one-shot pass.
+    params = init_params((2, 64, 64, 3), 7)
+    grid = evaluation.contour_grid(params, (-3.0, 3.0, -2.0, 2.0), 90)
+    assert threads() == 2
+    probs = forward(params, grid.points).probs
+    assert np.array_equal(grid.probs, probs)
+    assert np.array_equal(grid.preds, np.argmax(probs, axis=1))

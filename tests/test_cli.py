@@ -500,6 +500,29 @@ class TestSweep:
         assert_one_line_error(capsys, f"CONTRADIST_THREADS must be at least 1, got '{threads}'")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, cell",
+        [
+            ("--seeds", "3,3", "aligned_d0_to_d1_ss_s3"),
+            ("--presets", "aligned, aligned", "aligned_d0_to_d1_ss_s3"),
+            ("--term-sets", "ss|ss", "aligned_d0_to_d1_ss_s3"),
+        ],
+        ids=["seed", "preset", "term-set"],
+    )
+    def test_repeated_cell_is_a_one_line_error(
+        self, tmp_path, monkeypatch, capsys, flag, value, cell
+    ):
+        monkeypatch.setenv("CONTRADIST_THREADS", "1")
+        out_dir = tmp_path / "sweep"
+        argv = {
+            "--presets": "aligned", "--term-sets": "ss", "--seeds": "3",
+            "--directions": "d0->d1", "--samples-per-class": "30", "--epochs": "1",
+            "--out": str(out_dir), flag: value,
+        }
+        assert main(["sweep", *[item for pair in argv.items() for item in pair]]) == 1
+        assert_one_line_error(capsys, f"repeated sweep cell {cell}")
+        assert not out_dir.exists()
+
     @staticmethod
     def two_cell_sweep(out_dir):
         return main(
@@ -557,6 +580,49 @@ class TestTopLevel:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["gen-data", "--bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "step, argv",
+        [
+            ("make_blobs", ["gen-data", "--preset", "aligned", "--out", "{out}"]),
+            ("train", ["train", "--data-dir", "{data}", "--sources", "d0", "--target", "d1",
+                       "--out", "{out}"]),
+            ("predict", ["eval", "--checkpoint", "{ckpt}", "--data", "{data}/d0_test.csv"]),
+            ("contour_grid", ["contour", "--checkpoint", "{ckpt}", "--bounds=-1,1,-1,1",
+                              "--out", "{out}/contour.csv"]),
+            ("_sweep_cell_setup", ["sweep", "--presets", "aligned", "--term-sets", "ss",
+                                   "--seeds", "1", "--out", "{out}"]),
+        ],
+        ids=["gen-data", "train", "eval", "contour", "sweep"],
+    )
+    def test_out_of_memory_is_a_one_line_error_exit_2(
+        self, tmp_path, monkeypatch, capsys, step, argv
+    ):
+        import contradist.cli as cli
+        from contradist.model import init_params, save_checkpoint
+
+        data_dir = gen(tmp_path, samples=10)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(init_params([2, 4, 2], 0), ckpt)
+        capsys.readouterr()
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 65.5 TiB for an array")
+
+        monkeypatch.setattr(cli, step, out_of_memory)
+        paths = {"out": str(tmp_path / "out"), "data": str(data_dir), "ckpt": str(ckpt)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert_one_line_error(capsys, "out of memory: Unable to allocate 65.5 TiB")
+
+    def test_out_of_memory_without_detail(self, tmp_path, monkeypatch, capsys):
+        import contradist.cli as cli
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "make_blobs", out_of_memory)
+        assert main(["gen-data", "--preset", "aligned", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
 
 BLOB = {"classes": [{"center": [-1, 0], "std": 0.3}, {"center": [1, 0], "std": 0.3}],
