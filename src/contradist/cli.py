@@ -15,6 +15,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .dataset import (
     preset_names,
     save_csv,
     split,
+    train_rows,
 )
 from .errors import (
     CheckpointError,
@@ -39,7 +41,7 @@ from .errors import (
 from .evaluation import compute_metrics, contour_grid, default_bounds, predict, save_contour_csv
 from .files import write_atomic
 from .model import load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, train, train_config_from_dict, train_config_to_dict
+from .trainer import TrainConfig, train, train_config_from_dict, validate_inputs
 
 SCHEMA_VERSION = 1
 THREADS_ENV = "CONTRADIST_THREADS"
@@ -150,8 +152,9 @@ def cmd_gen_data(args) -> int:
     else:
         specs = preset_domains(cfg["preset"], cfg["seed"], cfg["samples_per_class"])
     out_dir = cfg["out_dir"]
+    splits = _make_splits(specs, cfg["train_fraction"])
     _echo_config(out_dir, "gen_config.json", cfg)
-    for domain_id, pair in _make_splits(specs, cfg["train_fraction"]).items():
+    for domain_id, pair in splits.items():
         for ds, name in zip(pair, ("train", "test")):
             save_csv(ds, os.path.join(out_dir, f"{domain_id}_{name}.csv"))
             counts = np.bincount(ds.labels, minlength=specs[domain_id].num_classes)
@@ -177,14 +180,11 @@ def _train_config_from_args(args, file_train: dict) -> TrainConfig:
             merged["prior"] = "estimate_from_source"
         else:
             merged["prior"] = _parse_csv_list(args.prior)
-    if args.fake_sampler is not None:
-        if args.fake_sampler == "gaussian":
-            merged["fake_sampler"] = "gaussian_input"
-        elif args.fake_sampler == "generator":
-            sampler = merged.get("fake_sampler")
-            merged["fake_sampler"] = sampler if isinstance(sampler, dict) else {}
-        else:
-            raise ValidationError("--fake-sampler must be gaussian or generator")
+    if args.fake_sampler == "gaussian":
+        merged["fake_sampler"] = "gaussian_input"
+    elif args.fake_sampler == "generator":
+        sampler = merged.get("fake_sampler")
+        merged["fake_sampler"] = sampler if isinstance(sampler, dict) else {}
     if args.noise_dim is not None or args.gen_lr is not None:
         sampler = merged.get("fake_sampler")
         sampler = dict(sampler) if isinstance(sampler, dict) else {}
@@ -265,6 +265,7 @@ def cmd_train(args) -> int:
     splits = ("train", "test")
     source_sets = [tuple(_load_domain(data_dir, name, s) for s in splits) for name in sources]
     target_sets = tuple(_load_domain(data_dir, target, s) for s in splits)
+    validate_inputs(cfg, [tr for tr, _ in source_sets], target_sets[0].without_labels())
 
     resolved = {
         "schema_version": SCHEMA_VERSION,
@@ -272,7 +273,7 @@ def cmd_train(args) -> int:
         "sources": list(sources),
         "target": target,
         "out_dir": out_dir,
-        "train": train_config_to_dict(cfg),
+        "train": asdict(cfg),
     }
     _echo_config(out_dir, "config.json", resolved)
     source_acc, target_acc = _train_and_score(cfg, source_sets, target_sets, out_dir)
@@ -322,6 +323,8 @@ def cmd_contour(args) -> int:
 def _sweep_cell_setup(payload: dict) -> tuple[dict[str, BlobSpec], TrainConfig]:
     """The validated blob specs and train config of one sweep cell."""
     specs = preset_domains(payload["preset"], payload["seed"], payload["samples_per_class"])
+    for spec in specs.values():  # every class of a preset domain has the same size
+        train_rows(spec.samples_per_class, payload["train_fraction"])
     cfg = train_config_from_dict(
         {**payload["train"], "terms": list(payload["terms"]), "seed": payload["seed"]}
     )
@@ -372,13 +375,7 @@ def cmd_sweep(args) -> int:
     presets = _parse_csv_list(args.presets)
     term_sets = [tuple(_parse_csv_list(chunk)) for chunk in args.term_sets.split("|")]
     seeds = _parse_numbers(args.seeds, int, "--seeds")
-    if args.directions == "both":
-        directions = ["d0->d1", "d1->d0"]
-    else:
-        directions = [args.directions]
-    for direction in directions:
-        if direction not in ("d0->d1", "d1->d0"):
-            raise ValidationError(f"bad direction {direction!r}")
+    directions = ["d0->d1", "d1->d0"] if args.directions == "both" else [args.directions]
 
     base_train = _given_flags(args, ("epochs", "batch_size", "lr"))
 
@@ -481,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--hidden-dims", help="comma-separated hidden layer widths")
     p.add_argument("--prior", help="'estimate' or comma-separated probabilities")
-    p.add_argument("--fake-sampler", help="gaussian or generator")
+    p.add_argument("--fake-sampler", choices=("gaussian", "generator"))
     p.add_argument("--noise-dim", type=int)
     p.add_argument("--gen-lr", type=float)
     p.add_argument("--mmd-gamma", help="'median' or a positive real")
@@ -506,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", required=True)
     p.add_argument("--term-sets", required=True, help="'|'-separated term lists, e.g. 'ss|ss,tu,ta'")
     p.add_argument("--seeds", required=True)
-    p.add_argument("--directions", default="both", help="both, d0->d1, or d1->d0")
+    p.add_argument("--directions", default="both", choices=("both", "d0->d1", "d1->d0"))
     p.add_argument("--samples-per-class", type=int, default=2000)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)

@@ -155,19 +155,37 @@ def make_blobs(spec: BlobSpec, domain_id: str = "") -> DomainDataset:
     return DomainDataset(features, labels, domain_id=domain_id)
 
 
+def train_rows(n_c: int, train_fraction: float) -> int:
+    """How many of a class's n_c rows split() puts in train.
+
+    That is floor(train_fraction * n_c), plus the remainder row when the
+    product is fractional; fails unless both splits get at least one row.
+    """
+    if not (0.0 < train_fraction < 1.0):
+        raise ValidationError("train_fraction must lie strictly between 0 and 1")
+    if n_c < 2:
+        raise ValidationError(f"cannot stratify a class with {n_c} sample(s) into two splits")
+    n_train = math.floor(train_fraction * n_c)
+    if n_train < train_fraction * n_c:
+        n_train += 1  # remainder goes to train
+    if n_train >= n_c:
+        raise ValidationError(
+            f"train fraction {train_fraction} leaves no test rows for a "
+            f"class with {n_c} samples"
+        )
+    return n_train
+
+
 def split(
     ds: DomainDataset, train_fraction: float, seed: int
 ) -> tuple[DomainDataset, DomainDataset]:
     """Stratified train/test split.
 
-    Each class contributes floor(train_fraction * n_c) rows to train, with
-    the remainder row (when the product is fractional) also going to train.
-    Row selection within a class is random per seed; the two outputs are
-    disjoint and their union is the input.  Unlabeled data is treated as a
-    single stratum.
+    Each class of n_c rows contributes train_rows(n_c, train_fraction) of
+    them to train and the rest to test.  Row selection within a class is
+    random per seed; the two outputs are disjoint and their union is the
+    input.  Unlabeled data is treated as a single stratum.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ValidationError("train_fraction must lie strictly between 0 and 1")
     rng = Rng(derive_seed(seed, "split"))
     groups: list[np.ndarray]
     if ds.labels is None:
@@ -177,18 +195,7 @@ def split(
     train_idx, test_idx = [], []
     for idx in groups:
         n_c = idx.shape[0]
-        if n_c < 2:
-            raise ValidationError(
-                f"cannot stratify a class with {n_c} sample(s) into two splits"
-            )
-        n_train = math.floor(train_fraction * n_c)
-        if n_train < train_fraction * n_c:
-            n_train += 1  # remainder goes to train
-        if n_train >= n_c:
-            raise ValidationError(
-                f"train fraction {train_fraction} leaves no test rows for a "
-                f"class with {n_c} samples"
-            )
+        n_train = train_rows(n_c, train_fraction)
         order = idx[rng.permutation(n_c)]
         train_idx.append(np.sort(order[:n_train]))
         test_idx.append(np.sort(order[n_train:]))

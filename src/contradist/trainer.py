@@ -28,7 +28,7 @@ stream in order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -51,6 +51,20 @@ from .rng import Rng, derive_seed
 TERMS = ("ss", "su", "tu", "sa", "ta")
 
 
+def _convert_fields(obj, converters: dict, where: str) -> None:
+    """Replace each named field of a frozen dataclass by its converted value."""
+    for name, convert in converters.items():
+        try:
+            value = convert(getattr(obj, name))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad {where} value for {name!r}: {exc}") from exc
+        object.__setattr__(obj, name, value)
+
+
+def _ints(items) -> tuple[int, ...]:
+    return tuple(as_int(h) for h in items)
+
+
 @dataclass(frozen=True)
 class GeneratorSettings:
     """Toy generator: noise_dim -> hidden_dims -> feature dim, own Adam lr."""
@@ -60,170 +74,20 @@ class GeneratorSettings:
     lr: float = 1e-3
 
     def __post_init__(self):
+        converters = {"noise_dim": as_int, "hidden_dims": _ints, "lr": as_float}
+        _convert_fields(self, converters, "fake_sampler")
         if self.noise_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ValidationError("generator dims must be positive")
         if not (self.lr >= 0 and np.isfinite(self.lr)):
             raise ValidationError("generator lr must be a finite non-negative real")
 
 
-@dataclass
-class TrainConfig:
-    batch_size: int = 128
-    epochs: int = 100
-    lr: float = 1e-3
-    optimizer: str = "adam"  # adam(b1=0.9, b2=0.999, eps=1e-8) or sgd
-    enabled_terms: tuple[str, ...] = ("ss", "tu", "ta")
-    term_weights: dict[str, float] = field(default_factory=dict)
-    prior_mode: Priors | str = "estimate_from_source"
-    fake_sampler: GeneratorSettings | str = "gaussian_input"
-    mmd: MmdConfig = field(default_factory=MmdConfig)
-    hidden_dims: tuple[int, ...] = (64, 64)
-    # Pseudo-labels picked from a freshly initialized network are arbitrary
-    # and the contradistinguish term locks them in (Adam rescales even a
-    # small weight to a full-size step), so the loss terms are staged:
-    # epochs <= warmup train ss only, then tu/su ramp linearly to full over
-    # ramp_epochs, then ta/sa ramp over the following ramp_epochs.  The
-    # adversarial push toward uniform outputs can tip a freshly locked
-    # assignment into its mirror image unless the unsupervised terms are at
-    # full strength first.
-    warmup_epochs: int = 10
-    ramp_epochs: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        self.enabled_terms = tuple(self.enabled_terms)
-        self.hidden_dims = tuple(self.hidden_dims)
-
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
-        if not (self.lr >= 0 and np.isfinite(self.lr)):
-            raise ValidationError("lr must be a finite non-negative real")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"unknown optimizer {self.optimizer!r}")
-        seen = set()
-        for term in self.enabled_terms:
-            if term not in TERMS:
-                raise ValidationError(f"unknown loss term {term!r}")
-            if term in seen:
-                raise ValidationError(f"duplicate loss term {term!r}")
-            seen.add(term)
-        if "ss" not in seen:
-            raise ValidationError("the ss term is the anchor and must stay enabled")
-        if "tu" in seen and self.batch_size < 2:
-            raise ValidationError("tu needs batch_size >= 2")
-        if "sa" in seen and isinstance(self.fake_sampler, GeneratorSettings):
-            raise ValidationError(
-                "sa needs the Gaussian fake sampler: the generator only models the target"
-            )
-        for term, w in self.term_weights.items():
-            if term not in TERMS + ("gen",):
-                raise ValidationError(f"unknown term weight {term!r}")
-            if not (w >= 0 and np.isfinite(w)):
-                raise ValidationError(f"weight for {term!r} must be >= 0")
-        if isinstance(self.prior_mode, str) and self.prior_mode != "estimate_from_source":
-            raise ValidationError(f"unknown prior mode {self.prior_mode!r}")
-        if isinstance(self.fake_sampler, str) and self.fake_sampler != "gaussian_input":
-            raise ValidationError(f"unknown fake sampler {self.fake_sampler!r}")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValidationError("hidden dims must be positive")
-        if self.warmup_epochs < 0:
-            raise ValidationError("warmup_epochs must be >= 0")
-        if self.ramp_epochs < 0:
-            raise ValidationError("ramp_epochs must be >= 0")
-
-    def weight(self, term: str) -> float:
-        return float(self.term_weights.get(term, 1.0))
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    """JSON-ready view of a TrainConfig (inverse of train_config_from_dict)."""
-    prior = cfg.prior_mode
-    sampler = cfg.fake_sampler
-    if isinstance(sampler, GeneratorSettings):
-        sampler = {**asdict(sampler), "hidden_dims": list(sampler.hidden_dims)}
-    return {
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "lr": cfg.lr,
-        "optimizer": cfg.optimizer,
-        "terms": list(cfg.enabled_terms),
-        "term_weights": dict(cfg.term_weights),
-        "prior": prior.probs.tolist() if isinstance(prior, Priors) else prior,
-        "fake_sampler": sampler,
-        "mmd_gamma": cfg.mmd.gamma,
-        "hidden_dims": list(cfg.hidden_dims),
-        "warmup_epochs": cfg.warmup_epochs,
-        "ramp_epochs": cfg.ramp_epochs,
-        "seed": cfg.seed,
-    }
-
-
-def _ints(items) -> tuple[int, ...]:
-    return tuple(as_int(h) for h in items)
-
-
-def _converted(obj: dict, defaults: dict, converters: dict, where: str) -> dict:
-    """obj laid over defaults with every value converted; unknown keys fail."""
-    check_keys(obj, defaults, where)
-    out = {}
-    for key, default in defaults.items():
-        try:
-            out[key] = converters[key](obj.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad {where} value for {key!r}: {exc}") from exc
-    return out
-
-
-def train_config_from_dict(obj: dict) -> TrainConfig:
-    """Strict inverse of train_config_to_dict: unknown keys and bad values fail."""
-
-    def sampler(value):
-        if not isinstance(value, dict):
-            return value
-        converters = {"noise_dim": as_int, "hidden_dims": _ints, "lr": as_float}
-        defaults = asdict(GeneratorSettings())
-        return GeneratorSettings(**_converted(value, defaults, converters, "fake_sampler"))
-
-    converters = {
-        "batch_size": as_int,
-        "epochs": as_int,
-        "lr": as_float,
-        "optimizer": str,
-        "terms": tuple,
-        "term_weights": lambda w: {k: as_float(v) for k, v in dict(w).items()},
-        "prior": lambda p: p if isinstance(p, str) else Priors(np.asarray(p, dtype=np.float64)),
-        "fake_sampler": sampler,
-        "mmd_gamma": lambda g: MmdConfig(g if g == "median-heuristic" else as_float(g)),
-        "hidden_dims": _ints,
-        "warmup_epochs": as_int,
-        "ramp_epochs": as_int,
-        "seed": as_int,
-    }
-    v = _converted(obj, train_config_to_dict(TrainConfig()), converters, "train config")
-    for key, name in (("terms", "enabled_terms"), ("prior", "prior_mode"), ("mmd_gamma", "mmd")):
-        v[name] = v.pop(key)
-    cfg = TrainConfig(**v)
-    cfg.validate()
-    return cfg
-
-
-@dataclass
-class EpochRecord:
-    epoch: int
-    losses: dict[str, float]
-    total: float
-    source_train_accuracy: float
-
-
-@dataclass
-class TrainHistory:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def save_jsonl(self, path) -> None:
-        write_atomic(path, (json.dumps(asdict(rec)) + "\n" for rec in self.records))
+def _sampler(value):
+    """A fake_sampler value: a generator settings object (from a dict) or a name."""
+    if not isinstance(value, dict):
+        return value
+    check_keys(value, [f.name for f in fields(GeneratorSettings)], "fake_sampler")
+    return GeneratorSettings(**value)
 
 
 class Adam:
@@ -258,12 +122,130 @@ class Sgd:
         a -= self.lr * g
 
 
-def make_optimizer(name: str, lr: float):
-    if name == "adam":
-        return Adam(lr)
-    if name == "sgd":
-        return Sgd(lr)
-    raise ValidationError(f"unknown optimizer {name!r}")
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
+
+# How TrainConfig turns each value it is given into its field's type
+_TRAIN_CONVERTERS = {
+    "batch_size": as_int,
+    "epochs": as_int,
+    "lr": as_float,
+    "optimizer": str,
+    "terms": tuple,
+    "term_weights": lambda w: {k: as_float(v) for k, v in dict(w).items()},
+    "prior": lambda p: p if isinstance(p, str) else tuple(as_float(x) for x in p),
+    "fake_sampler": _sampler,
+    "mmd_gamma": lambda g: g if g == "median-heuristic" else as_float(g),
+    "hidden_dims": _ints,
+    "warmup_epochs": as_int,
+    "ramp_epochs": as_int,
+    "seed": as_int,
+}
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """One run's settings.  The fields are a config file's ``train`` keys and
+    ``dataclasses.asdict`` gives that section back.
+
+    Values are converted (_TRAIN_CONVERTERS) and checked when the config is
+    built, where a bad one raises ValidationError; fields cannot be reassigned
+    afterwards.  ``prior`` is "estimate_from_source" or class probabilities,
+    ``fake_sampler`` "gaussian_input" or GeneratorSettings (or a dict of its
+    fields), ``mmd_gamma`` "median-heuristic" or a positive kernel bandwidth.
+    """
+
+    batch_size: int = 128
+    epochs: int = 100
+    lr: float = 1e-3
+    optimizer: str = "adam"  # a key of OPTIMIZERS (Adam: beta1 0.9, beta2 0.999, eps 1e-8)
+    terms: tuple[str, ...] = ("ss", "tu", "ta")
+    term_weights: dict[str, float] = field(default_factory=dict)
+    prior: str | tuple[float, ...] = "estimate_from_source"
+    fake_sampler: GeneratorSettings | str = "gaussian_input"
+    mmd_gamma: float | str = "median-heuristic"
+    hidden_dims: tuple[int, ...] = (64, 64)
+    # Pseudo-labels picked from a freshly initialized network are arbitrary
+    # and the contradistinguish term locks them in (Adam rescales even a
+    # small weight to a full-size step), so the loss terms are staged:
+    # epochs <= warmup train ss only, then tu/su ramp linearly to full over
+    # ramp_epochs, then ta/sa ramp over the following ramp_epochs.  The
+    # adversarial push toward uniform outputs can tip a freshly locked
+    # assignment into its mirror image unless the unsupervised terms are at
+    # full strength first.
+    warmup_epochs: int = 10
+    ramp_epochs: int = 10
+    seed: int = 0
+
+    def __post_init__(self):
+        _convert_fields(self, _TRAIN_CONVERTERS, "train config")
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValidationError("epochs must be >= 0")
+        if not (self.lr >= 0 and np.isfinite(self.lr)):
+            raise ValidationError("lr must be a finite non-negative real")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValidationError(f"unknown optimizer {self.optimizer!r}")
+        seen = set()
+        for term in self.terms:
+            if term not in TERMS:
+                raise ValidationError(f"unknown loss term {term!r}")
+            if term in seen:
+                raise ValidationError(f"duplicate loss term {term!r}")
+            seen.add(term)
+        if "ss" not in seen:
+            raise ValidationError("the ss term is the anchor and must stay enabled")
+        if "tu" in seen and self.batch_size < 2:
+            raise ValidationError("tu needs batch_size >= 2")
+        if "sa" in seen and isinstance(self.fake_sampler, GeneratorSettings):
+            raise ValidationError(
+                "sa needs the Gaussian fake sampler: the generator only models the target"
+            )
+        for term, w in self.term_weights.items():
+            if term not in TERMS + ("gen",):
+                raise ValidationError(f"unknown term weight {term!r}")
+            if not (w >= 0 and np.isfinite(w)):
+                raise ValidationError(f"weight for {term!r} must be >= 0")
+        if not isinstance(self.prior, str):
+            Priors(self.prior)
+        elif self.prior != "estimate_from_source":
+            raise ValidationError(f"unknown prior mode {self.prior!r}")
+        if not isinstance(self.fake_sampler, GeneratorSettings) and (
+            self.fake_sampler != "gaussian_input"
+        ):
+            raise ValidationError(f"unknown fake sampler {self.fake_sampler!r}")
+        MmdConfig(self.mmd_gamma)
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValidationError("hidden dims must be positive")
+        if self.warmup_epochs < 0:
+            raise ValidationError("warmup_epochs must be >= 0")
+        if self.ramp_epochs < 0:
+            raise ValidationError("ramp_epochs must be >= 0")
+
+    def weight(self, term: str) -> float:
+        return float(self.term_weights.get(term, 1.0))
+
+
+def train_config_from_dict(obj: dict) -> TrainConfig:
+    """A TrainConfig from a config file's train section; unknown keys fail."""
+    check_keys(obj, [f.name for f in fields(TrainConfig)], "train config")
+    return TrainConfig(**obj)
+
+
+@dataclass
+class EpochRecord:
+    epoch: int
+    losses: dict[str, float]
+    total: float
+    source_train_accuracy: float
+
+
+@dataclass
+class TrainHistory:
+    records: list[EpochRecord] = field(default_factory=list)
+
+    def save_jsonl(self, path) -> None:
+        write_atomic(path, (json.dumps(asdict(rec)) + "\n" for rec in self.records))
 
 
 def sample_fake_gaussian(features: np.ndarray, n_f: int, seed: int) -> np.ndarray:
@@ -282,8 +264,8 @@ def sample_fake_gaussian(features: np.ndarray, n_f: int, seed: int) -> np.ndarra
 
 def estimate_target_prior(cfg: TrainConfig, sources: list[DomainDataset]) -> Priors:
     """The given target prior, or pooled source label frequencies."""
-    if isinstance(cfg.prior_mode, Priors):
-        return cfg.prior_mode
+    if not isinstance(cfg.prior, str):
+        return Priors(cfg.prior)
     labels = np.concatenate([s.labels for s in sources])
     return estimate_prior(labels, int(labels.max()) + 1)
 
@@ -358,16 +340,17 @@ def generator_step(
         raise ValidationError("generator_step requires the generator fake sampler")
     n_f = np.asarray(target_batch).shape[0]
     noise = rng.normal(n_f * gen.input_dim).reshape(n_f, gen.input_dim)
-    value, grads = generator_loss(gen, clf, noise, target_batch, cfg.mmd)
+    value, grads = generator_loss(gen, clf, noise, target_batch, MmdConfig(cfg.mmd_gamma))
     w = cfg.weight("gen")
     if w != 0.0:
         optimizer.step(gen.flat, w * grads.flat)
     return gen, value
 
 
-def _validate_inputs(
+def validate_inputs(
     cfg: TrainConfig, sources: list[DomainDataset], target: DomainDataset
 ) -> int:
+    """Check the datasets against each other and cfg; returns the class count."""
     if not sources:
         raise ValidationError("need at least one source domain")
     d = sources[0].dim
@@ -385,10 +368,8 @@ def _validate_inputs(
     k = int(max(int(s.labels.max()) for s in sources)) + 1
     if k < 2:
         raise ValidationError("need at least 2 classes across the sources")
-    if isinstance(cfg.prior_mode, Priors) and cfg.prior_mode.num_classes != k:
-        raise ValidationError(
-            f"given prior has {cfg.prior_mode.num_classes} classes, sources have {k}"
-        )
+    if not isinstance(cfg.prior, str) and len(cfg.prior) != k:
+        raise ValidationError(f"given prior has {len(cfg.prior)} classes, sources have {k}")
     return k
 
 
@@ -404,13 +385,12 @@ def train(
     is deterministic given (cfg, datasets).  The whole call runs on one
     BLAS thread (see contradist.blas), which changes no result.
     """
-    cfg.validate()
-    k = _validate_inputs(cfg, sources, target)
+    k = validate_inputs(cfg, sources, target)
     d = sources[0].dim
-    terms = set(cfg.enabled_terms)
+    terms = set(cfg.terms)
 
     params = init_params((d, *cfg.hidden_dims, k), derive_seed(cfg.seed, "init"))
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
+    optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     prior_t = estimate_target_prior(cfg, sources)
     source_priors = [estimate_prior(s.labels, k) for s in sources]
 
@@ -432,7 +412,7 @@ def train(
         gen = init_params(
             (gs.noise_dim, *gs.hidden_dims, d), derive_seed(cfg.seed, "gen-init")
         )
-        gen_optimizer = make_optimizer(cfg.optimizer, gs.lr)
+        gen_optimizer = OPTIMIZERS[cfg.optimizer](gs.lr)
         gen_noise = Rng(derive_seed(cfg.seed, "gen-noise"))
 
     def target_fakes(tgt_x: np.ndarray) -> np.ndarray:

@@ -73,7 +73,7 @@ def run_cell(
         src_id, tgt_id = direction.split("->")
         src_train, src_test = data[src_id]
         tgt_train, tgt_test = data[tgt_id]
-        cfg = TrainConfig(enabled_terms=terms, epochs=100, seed=seed, fake_sampler=fake_sampler)
+        cfg = TrainConfig(terms=terms, epochs=100, seed=seed, fake_sampler=fake_sampler)
         start = time.perf_counter()
         params, history = train(cfg, [src_train], tgt_train.without_labels())
         elapsed = time.perf_counter() - start
@@ -255,7 +255,7 @@ def test_criterion_6_prior_enforcing():
     rows = np.sort(np.concatenate([keep0, keep1]))
     skewed = DomainDataset(tgt_train.features[rows], tgt_train.labels[rows], "d1")
     prior = Priors(np.array([0.9, 0.1]))
-    cfg = TrainConfig(enabled_terms=("ss", "tu"), epochs=100, seed=1, prior_mode=prior)
+    cfg = TrainConfig(terms=("ss", "tu"), epochs=100, seed=1, prior=tuple(prior.probs))
     params, _ = train(cfg, [src_train], skewed.without_labels())
     probs = forward(params, skewed.features).probs
     marginal = np.bincount(pseudo_label_select(probs, prior).labels, minlength=2) / skewed.n
@@ -384,7 +384,7 @@ def test_criterion_8_invariant_suite(tmp_path):
     data = preset_data("aligned", seed=2)
     src_train, _ = data["d0"]
     tgt_train, _ = data["d1"]
-    cfg = TrainConfig(enabled_terms=("ss", "tu", "ta"), epochs=3, seed=4, warmup_epochs=1)
+    cfg = TrainConfig(terms=("ss", "tu", "ta"), epochs=3, seed=4, warmup_epochs=1)
     p1, h1 = train(cfg, [src_train], tgt_train.without_labels())
     p2, h2 = train(cfg, [src_train], tgt_train.without_labels())
     checks["training determinism"] = h1 == h2 and all(

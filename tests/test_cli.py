@@ -52,6 +52,74 @@ def assert_one_line_error(capsys, message):
     assert message in err
 
 
+# every key of the train section: a generator sampler, a given prior, a
+# numeric gamma, and values that need converting
+FULL_TRAIN = {
+    "batch_size": 16, "epochs": 2, "lr": "0.004", "optimizer": "sgd",
+    "terms": ["ss", "tu", "ta"], "term_weights": {"tu": 1, "ta": "0.5", "gen": 2},
+    "prior": [0.4, "0.6"], "fake_sampler": {"noise_dim": "3", "hidden_dims": [8], "lr": 0.002},
+    "mmd_gamma": 0.5, "hidden_dims": [8, "8"], "warmup_epochs": 0, "ramp_epochs": 1, "seed": 4,
+}
+
+FULL_CONFIG_JSON = """\
+{
+  "schema_version": 1,
+  "data_dir": "data",
+  "sources": [
+    "d0"
+  ],
+  "target": "d1",
+  "out_dir": "run",
+  "train": {
+    "batch_size": 16,
+    "epochs": 2,
+    "lr": 0.004,
+    "optimizer": "sgd",
+    "terms": [
+      "ss",
+      "tu",
+      "ta"
+    ],
+    "term_weights": {
+      "tu": 1.0,
+      "ta": 0.5,
+      "gen": 2.0
+    },
+    "prior": [
+      0.4,
+      0.6
+    ],
+    "fake_sampler": {
+      "noise_dim": 3,
+      "hidden_dims": [
+        8
+      ],
+      "lr": 0.002
+    },
+    "mmd_gamma": 0.5,
+    "hidden_dims": [
+      8,
+      8
+    ],
+    "warmup_epochs": 0,
+    "ramp_epochs": 1,
+    "seed": 4
+  }
+}
+"""
+
+
+def write_full_train_config(tmp_path):
+    """Data under tmp_path/data and a train.json with FULL_TRAIN, paths relative."""
+    assert main(
+        ["gen-data", "--preset", "aligned", "--seed", "1", "--samples-per-class", "40",
+         "--out", str(tmp_path / "data")]
+    ) == 0
+    cfg = {"schema_version": 1, "data_dir": "data", "sources": ["d0"], "target": "d1",
+           "out_dir": "run", "train": FULL_TRAIN}
+    (tmp_path / "train.json").write_text(json.dumps(cfg))
+
+
 def train_with_config(tmp_path, text):
     """Run train from a config file holding text; no data is needed to fail."""
     cfg_path = tmp_path / "train.json"
@@ -228,6 +296,45 @@ class TestTrain:
         echoed = json.loads((tmp_path / "flagged" / "config.json").read_text())
         assert echoed["train"]["epochs"] == 1
 
+
+    def test_config_json_golden_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_full_train_config(tmp_path)
+        assert main(["train", "--config", "train.json"]) == 0
+        assert (tmp_path / "run" / "config.json").read_text() == FULL_CONFIG_JSON
+
+    def test_echoed_config_reproduces_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_full_train_config(tmp_path)
+        assert main(["train", "--config", "train.json"]) == 0
+        assert main(["train", "--config", "run/config.json", "--out", "again"]) == 0
+        run, again = tmp_path / "run", tmp_path / "again"
+        for name in ("model.ckpt", "history.jsonl"):
+            assert (again / name).read_bytes() == (run / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "widen_target, extra, message",
+        [
+            (False, ("--prior", "0.2,0.3,0.5"), "given prior has 3 classes, sources have 2"),
+            (True, (), "all domains must share the feature width"),
+        ],
+        ids=["prior-classes", "feature-width"],
+    )
+    def test_data_contradicting_the_config_exits_1_before_writing(
+        self, tmp_path, capsys, widen_target, extra, message
+    ):
+        from contradist.dataset import DomainDataset, save_csv
+
+        data_dir = gen(tmp_path)
+        for split in ("train", "test") if widen_target else ():
+            ds = load_csv(data_dir / f"d1_{split}.csv")
+            wide = np.column_stack([ds.features, ds.features[:, :1]])
+            save_csv(DomainDataset(wide, ds.labels), data_dir / f"d1_{split}.csv")
+        capsys.readouterr()
+        code, out_dir = fast_train(tmp_path, data_dir, extra=extra)
+        assert code == 1
+        assert_one_line_error(capsys, message)
+        assert not out_dir.exists()
 
     def test_sa_with_generator_sampler_exits_1(self, tmp_path, capsys):
         code, out_dir = fast_train(
@@ -558,7 +665,7 @@ class TestSweep:
         real = cli._train_and_score
 
         def flaky(cfg, sources, target, out_dir):
-            if "tu" in cfg.enabled_terms:
+            if "tu" in cfg.terms:
                 raise ZeroDivisionError("injected")
             return real(cfg, sources, target, out_dir)
 
@@ -689,6 +796,14 @@ TRAIN_PATHS = {"data_dir": "data", "sources": ["d0"], "target": "d1"}
          "malformed blob spec: expected a number, got True"),
         ({"domains": {"a": {**BLOB, "classes": [{"center": [0, 0], "std": True}] * 2}}}, GEN,
          "malformed blob spec: expected a number, got True"),
+        (None, ["gen-data", "--preset", "rotated", "--samples-per-class", "1", "--out", "{out}"],
+         "cannot stratify a class with 1 sample(s) into two splits"),
+        (None, [*SWEEP, "--presets", "rotated", "--seeds", "1", "--samples-per-class", "1"],
+         "cannot stratify a class with 1 sample(s) into two splits"),
+        (TRAIN_PATHS, [*TRAIN, "--fake-sampler", "gaussain"],
+         "argument --fake-sampler: invalid choice: 'gaussain'"),
+        (None, [*SWEEP, "--seeds", "1", "--directions", "d1->d2"],
+         "argument --directions: invalid choice: 'd1->d2'"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -699,7 +814,8 @@ TRAIN_PATHS = {"data_dir": "data", "sources": ["d0"], "target": "d1"}
         "sweep-samples-per-class-0", "sweep-lr-negative", "sweep-epochs-negative",
         "sweep-unknown-term", "train-lr-bool", "train-weight-bool", "train-mmd-gamma-bool",
         "generator-lr-bool", "blob-rotation-bool", "blob-offset-bool", "blob-center-bool",
-        "blob-std-bool",
+        "blob-std-bool", "gen-data-unsplittable", "sweep-unsplittable", "train-fake-sampler-typo",
+        "sweep-direction-typo",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):

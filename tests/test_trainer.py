@@ -1,9 +1,11 @@
 """Training loop contracts: determinism, term handling, fakes, generator."""
 
+from dataclasses import FrozenInstanceError, asdict, replace
+
 import numpy as np
 import pytest
 
-from contradist.dataset import BlobSpec, DomainDataset, Priors, make_blobs, split
+from contradist.dataset import BlobSpec, DomainDataset, make_blobs, split
 from contradist.errors import ValidationError
 from contradist.losses import MmdConfig, kernel_mmd
 from contradist.model import ModelParams, backward, forward, init_params
@@ -18,7 +20,6 @@ from contradist.trainer import (
     sample_fake_gaussian,
     train,
     train_config_from_dict,
-    train_config_to_dict,
 )
 from helpers import fd_gradient, max_rel_err
 
@@ -42,7 +43,7 @@ def quick_cfg(**overrides):
     base = dict(
         batch_size=32,
         epochs=6,
-        enabled_terms=("ss", "tu", "ta"),
+        terms=("ss", "tu", "ta"),
         warmup_epochs=1,
         ramp_epochs=1,
         hidden_dims=(16,),
@@ -62,32 +63,38 @@ def params_equal(a, b):
 class TestConfigValidation:
     def test_ss_must_stay_enabled(self):
         with pytest.raises(ValidationError):
-            TrainConfig(enabled_terms=("tu",)).validate()
+            TrainConfig(terms=("tu",))
 
     def test_unknown_term_rejected(self):
         with pytest.raises(ValidationError):
-            TrainConfig(enabled_terms=("ss", "xx")).validate()
+            TrainConfig(terms=("ss", "xx"))
 
     def test_tu_needs_batch_of_two(self):
         with pytest.raises(ValidationError):
-            TrainConfig(enabled_terms=("ss", "tu"), batch_size=1).validate()
+            TrainConfig(terms=("ss", "tu"), batch_size=1)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
-            TrainConfig(term_weights={"tu": -1.0}).validate()
+            TrainConfig(term_weights={"tu": -1.0})
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValidationError):
-            TrainConfig(optimizer="lbfgs").validate()
+            TrainConfig(optimizer="lbfgs")
 
     def test_sa_rejects_generator_sampler(self):
-        cfg = TrainConfig(enabled_terms=("ss", "sa"), fake_sampler=GeneratorSettings())
         with pytest.raises(ValidationError, match="sa needs the Gaussian"):
-            cfg.validate()
+            TrainConfig(terms=("ss", "sa"), fake_sampler=GeneratorSettings())
 
     def test_dict_round_trip(self):
         cfg = quick_cfg(fake_sampler=GeneratorSettings(noise_dim=3), term_weights={"tu": 0.5})
-        assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
+        assert train_config_from_dict(asdict(cfg)) == cfg
+
+    def test_config_is_frozen_and_replace_validates(self):
+        cfg = quick_cfg()
+        with pytest.raises(FrozenInstanceError):
+            cfg.batch_size = 0
+        with pytest.raises(ValidationError, match="batch_size must be >= 1"):
+            replace(cfg, batch_size=0)
 
     def test_integer_fields_accept_ints_and_integer_strings(self):
         cfg = train_config_from_dict(
@@ -117,7 +124,7 @@ class TestConfigValidation:
             {"lr": "0.01", "term_weights": {"tu": 2, "ta": "0.5"}, "mmd_gamma": 3,
              "fake_sampler": {"lr": np.float32(0.5)}}
         )
-        assert (cfg.lr, cfg.term_weights, cfg.mmd.gamma) == (0.01, {"tu": 2.0, "ta": 0.5}, 3.0)
+        assert (cfg.lr, cfg.term_weights, cfg.mmd_gamma) == (0.01, {"tu": 2.0, "ta": 0.5}, 3.0)
         assert cfg.fake_sampler.lr == 0.5
 
     @pytest.mark.parametrize(
@@ -163,9 +170,8 @@ class TestSampleFakeGaussian:
 
 class TestEstimateTargetPrior:
     def test_given_prior_passthrough(self):
-        prior = Priors(np.array([0.9, 0.1]))
-        cfg = TrainConfig(prior_mode=prior)
-        assert estimate_target_prior(cfg, []) is prior
+        cfg = TrainConfig(prior=(0.9, 0.1))
+        assert np.array_equal(estimate_target_prior(cfg, []).probs, [0.9, 0.1])
 
     def test_balanced_sources_give_uniform(self):
         d0, _ = toy_domains(samples=50)
@@ -185,7 +191,7 @@ class TestEstimateTargetPrior:
 class TestTrain:
     def test_supervised_only_learns_separable_blobs(self):
         src, tgt = toy_domains()
-        cfg = quick_cfg(enabled_terms=("ss",), epochs=25)
+        cfg = quick_cfg(terms=("ss",), epochs=25)
         params, history = train(cfg, [src], tgt.without_labels())
         assert history.records[-1].source_train_accuracy >= 0.99
 
@@ -208,24 +214,24 @@ class TestTrain:
         # su and sa run once per source, so check them with two sources
         for term, sources in (("ta", [src]), ("su", [src, src2]), ("sa", [src, src2])):
             zeroed, _ = train(
-                quick_cfg(enabled_terms=("ss", "tu", term), term_weights={term: 0.0}),
+                quick_cfg(terms=("ss", "tu", term), term_weights={term: 0.0}),
                 sources,
                 tgt.without_labels(),
             )
             removed, _ = train(
-                quick_cfg(enabled_terms=("ss", "tu")), sources, tgt.without_labels()
+                quick_cfg(terms=("ss", "tu")), sources, tgt.without_labels()
             )
             assert params_equal(zeroed, removed), term
 
     def test_zero_tu_weight_equals_removed_tu(self):
         src, tgt = toy_domains()
         zeroed, _ = train(
-            quick_cfg(enabled_terms=("ss", "tu", "ta"), term_weights={"tu": 0.0}),
+            quick_cfg(terms=("ss", "tu", "ta"), term_weights={"tu": 0.0}),
             [src],
             tgt.without_labels(),
         )
         removed, _ = train(
-            quick_cfg(enabled_terms=("ss", "ta")), [src], tgt.without_labels()
+            quick_cfg(terms=("ss", "ta")), [src], tgt.without_labels()
         )
         assert params_equal(zeroed, removed)
 
@@ -249,13 +255,13 @@ class TestTrain:
 
     def test_prior_class_count_mismatch_rejected(self):
         src, tgt = toy_domains()
-        cfg = quick_cfg(prior_mode=Priors(np.array([0.5, 0.3, 0.2])))
+        cfg = quick_cfg(prior=(0.5, 0.3, 0.2))
         with pytest.raises(ValidationError):
             train(cfg, [src], tgt.without_labels())
 
     def test_history_shape_and_finiteness(self):
         src, tgt = toy_domains()
-        cfg = quick_cfg(enabled_terms=("ss", "su", "tu", "sa", "ta"), epochs=5)
+        cfg = quick_cfg(terms=("ss", "su", "tu", "sa", "ta"), epochs=5)
         _, history = train(cfg, [src], tgt.without_labels())
         assert len(history.records) == cfg.epochs
         for rec in history.records:
@@ -301,7 +307,7 @@ class TestGeneratorStep:
         self.batch = np.random.default_rng(2).normal(size=(8, 2))
         self.cfg = TrainConfig(
             fake_sampler=GeneratorSettings(noise_dim=2, hidden_dims=(4,), lr=1e-2),
-            mmd=MmdConfig(gamma=0.5),
+            mmd_gamma=0.5,
         )
 
     def test_zero_lr_leaves_generator_unchanged(self):

@@ -1,0 +1,76 @@
+"""Print fixed-seed result hashes for the 96-cell training grid.
+
+Each line is one cell: its id, the SHA-256 of the trained parameters (each
+layer's W then b as little-endian float64 bytes) and the SHA-256 of the
+history (one ``json.dumps(record, sort_keys=True)`` line per epoch).  The
+configs are built from ``train`` config-file dicts, so two checkouts whose
+file schema agrees can be compared with ``diff``:
+
+    PYTHONPATH=src python tools/hash_grid.py > a.txt
+
+The grid: two labeled sources of 2-class blobs (centers (-2, 0) and (2, 0),
+std 0.5; 60 and 75 per class, rotated 0 and 15 degrees, seeds 1 and 2) and an
+unlabeled target (70 per class, 35 degrees, seed 3); batch 32, 8 epochs,
+warmup 1, ramp 2, hidden (16, 16), seed 7, lr 3e-3 (adam) or 1e-2 (sgd);
+generator noise_dim 4, hidden (16,), lr 1e-3; "mixed" weights are
+{tu: 0, sa: 0.5, gen: 2}; one source means the first.  ``sa`` with the
+generator sampler is invalid, so those cells are left out.
+"""
+
+import hashlib
+import itertools
+import json
+import sys
+from dataclasses import asdict
+
+import numpy as np
+
+from contradist.dataset import BlobSpec, make_blobs
+from contradist.trainer import train, train_config_from_dict
+
+TERM_SETS = ("ss", "ss,tu", "ss,su", "ss,ta", "ss,sa", "ss,tu,su,ta", "ss,tu,su,ta,sa")
+SAMPLERS = {"gauss": "gaussian_input", "gen": {"noise_dim": 4, "hidden_dims": [16], "lr": 1e-3}}
+LRS = {"adam": 3e-3, "sgd": 1e-2}
+WEIGHTS = {"default": {}, "mixed": {"tu": 0.0, "sa": 0.5, "gen": 2.0}}
+
+
+def blobs(samples: int, rotation: float, seed: int, domain_id: str):
+    classes = (((-2.0, 0.0), 0.5), ((2.0, 0.0), 0.5))
+    spec = BlobSpec(classes, samples, rotation_deg=rotation, seed=seed)
+    return make_blobs(spec, domain_id)
+
+
+def cells():
+    """(cell id, train section) for every valid cell, in a fixed order."""
+    for terms, fakes, n_src, opt, weights in itertools.product(
+        TERM_SETS, SAMPLERS, (1, 2), LRS, WEIGHTS
+    ):
+        if fakes == "gen" and "sa" in terms.split(","):
+            continue
+        section = {
+            "batch_size": 32, "epochs": 8, "lr": LRS[opt], "optimizer": opt,
+            "terms": terms.split(","), "term_weights": WEIGHTS[weights],
+            "fake_sampler": SAMPLERS[fakes], "hidden_dims": [16, 16],
+            "warmup_epochs": 1, "ramp_epochs": 2, "seed": 7,
+        }
+        yield f"{terms}/{fakes}/{n_src}src/{opt}/{weights}", n_src, section
+
+
+def main() -> int:
+    sources = [blobs(60, 0.0, 1, "s0"), blobs(75, 15.0, 2, "s1")]
+    target = blobs(70, 35.0, 3, "t").without_labels()
+    for cell_id, n_src, section in cells():
+        params, history = train(train_config_from_dict(section), sources[:n_src], target)
+        p = hashlib.sha256()
+        for w, b in zip(params.weights, params.biases):
+            p.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
+            p.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        h = hashlib.sha256()
+        for rec in history.records:
+            h.update((json.dumps(asdict(rec), sort_keys=True) + "\n").encode())
+        print(cell_id, p.hexdigest(), h.hexdigest(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
