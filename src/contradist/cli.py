@@ -10,12 +10,14 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -222,13 +224,10 @@ def _train_and_score(
     """Train on (train, test) splits; write model.ckpt, history.jsonl and
     metrics_{source,target}_test.json to out_dir; return both accuracies.
 
-    The source test sets are pooled into one score.
+    The source test sets are pooled into one score; every test set must be
+    labeled (cmd_train checks before it writes, preset cells always are).
     """
     target_train, target_test = target
-    if target_test.labels is None:
-        raise ValidationError(
-            f"target test set {target_test.domain_id!r} has no labels to score"
-        )
     params, history = train(cfg, [tr for tr, _ in sources], target_train.without_labels())
 
     os.makedirs(out_dir, exist_ok=True)
@@ -266,6 +265,10 @@ def cmd_train(args) -> int:
     source_sets = [tuple(_load_domain(data_dir, name, s) for s in splits) for name in sources]
     target_sets = tuple(_load_domain(data_dir, target, s) for s in splits)
     validate_inputs(cfg, [tr for tr, _ in source_sets], target_sets[0].without_labels())
+    scored = [("source", test) for _, test in source_sets] + [("target", target_sets[1])]
+    for role, test in scored:
+        if test.labels is None:
+            raise ValidationError(f"{role} test set {test.domain_id!r} has no labels to score")
 
     resolved = {
         "schema_version": SCHEMA_VERSION,
@@ -316,55 +319,64 @@ def cmd_contour(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# training cells (sweep and the acceptance suite)
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell_setup(payload: dict) -> tuple[dict[str, BlobSpec], TrainConfig]:
-    """The validated blob specs and train config of one sweep cell."""
-    specs = preset_domains(payload["preset"], payload["seed"], payload["samples_per_class"])
+CELL_TRAIN_FRACTION = 0.5
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One preset training run, built and checked before any cell runs: the
+    preset's blob specs, the train config, the (source, target) domain ids
+    and the directory its artifacts go to."""
+
+    specs: dict[str, BlobSpec]
+    cfg: TrainConfig
+    pair: tuple[str, str]
+    out_dir: str
+
+
+def build_cell(
+    preset: str, pair: tuple[str, str], seed: int, samples_per_class: int, section: dict,
+    out_dir: str,
+) -> Cell:
+    """A checked cell; `section` is a config file's train section, less its seed."""
+    specs = preset_domains(preset, seed, samples_per_class)
     for spec in specs.values():  # every class of a preset domain has the same size
-        train_rows(spec.samples_per_class, payload["train_fraction"])
-    cfg = train_config_from_dict(
-        {**payload["train"], "terms": list(payload["terms"]), "seed": payload["seed"]}
-    )
-    return specs, cfg
+        train_rows(spec.samples_per_class, CELL_TRAIN_FRACTION)
+    return Cell(specs, train_config_from_dict({**section, "seed": seed}), pair, out_dir)
 
 
-def _run_sweep_cell(payload: dict) -> dict:
-    """Run one (preset, direction, terms, seed) cell in its own directory.
+def _run_sweep_cell(cell: Cell) -> dict:
+    """Generate, split, train and score one cell in its own directory.
 
+    The result's row holds both test accuracies and the cell's wall seconds.
     Any exception becomes a failed-cell record with its traceback, so one
     bad cell cannot stop the others.
     """
+    start = time.perf_counter()
     try:
-        specs, cfg = _sweep_cell_setup(payload)
-        datasets = _make_splits(specs, payload["train_fraction"])
-        src_id, tgt_id = payload["direction"].split("->")
+        datasets = _make_splits(cell.specs, CELL_TRAIN_FRACTION)
+        source, target = cell.pair
         source_acc, target_acc = _train_and_score(
-            cfg, [datasets[src_id]], datasets[tgt_id], payload["cell_dir"]
+            cell.cfg, [datasets[source]], datasets[target], cell.out_dir
         )
-        return {
-            "ok": True,
-            "row": {
-                "preset": payload["preset"],
-                "direction": payload["direction"],
-                "terms": "+".join(payload["terms"]),
-                "seed": payload["seed"],
-                "source_acc": source_acc,
-                "target_acc": target_acc,
-            },
-        }
     except Exception as exc:
         return {
             "ok": False,
-            "cell": payload["cell_dir"],
+            "cell": cell.out_dir,
             "error": f"{type(exc).__name__}: {exc}",
             "traceback": traceback.format_exc(),
         }
+    seconds = time.perf_counter() - start
+    row = {"source_acc": source_acc, "target_acc": target_acc, "seconds": seconds}
+    return {"ok": True, "row": row}
 
 
-def cmd_sweep(args) -> int:
+def cell_workers() -> int:
+    """How many cells run at once: CONTRADIST_THREADS, else the CPU count."""
     threads = os.environ.get(THREADS_ENV, str(os.cpu_count() or 1))
     try:
         workers = int(threads)
@@ -372,6 +384,21 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"{THREADS_ENV} must be an integer, got {threads!r}") from exc
     if workers < 1:
         raise ValidationError(f"{THREADS_ENV} must be at least 1, got {threads!r}")
+    return workers
+
+
+def run_cells(cells: list[Cell], workers: int) -> list[dict]:
+    """Every cell's _run_sweep_cell result, in cell order: run in this
+    process with one worker, else in a fork pool of that many workers."""
+    workers = min(workers, len(cells))
+    if workers <= 1:
+        return [_run_sweep_cell(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_sweep_cell, cells))
+
+
+def cmd_sweep(args) -> int:
+    workers = cell_workers()
     presets = _parse_csv_list(args.presets)
     term_sets = [tuple(_parse_csv_list(chunk)) for chunk in args.term_sets.split("|")]
     seeds = _parse_numbers(args.seeds, int, "--seeds")
@@ -380,33 +407,20 @@ def cmd_sweep(args) -> int:
     base_train = _given_flags(args, ("epochs", "batch_size", "lr"))
 
     out_dir = args.out
-    cells = []
-    for preset in presets:
-        for direction in directions:
-            for terms in term_sets:
-                for seed in seeds:
-                    name = (
-                        f"{preset}_{direction.replace('->', '_to_')}_"
-                        f"{'+'.join(terms)}_s{seed}"
-                    )
-                    cells.append(
-                        {
-                            "preset": preset,
-                            "direction": direction,
-                            "terms": list(terms),
-                            "seed": seed,
-                            "samples_per_class": args.samples_per_class,
-                            "train_fraction": 0.5,
-                            "train": base_train,
-                            "cell_dir": os.path.join(out_dir, "cells", name),
-                        }
-                    )
-    seen = set()
-    for cell in cells:  # a bad setting fails here, before anything is written
-        if cell["cell_dir"] in seen:
-            raise ValidationError(f"repeated sweep cell {os.path.basename(cell['cell_dir'])}")
-        seen.add(cell["cell_dir"])
-        _sweep_cell_setup(cell)
+    keys = list(itertools.product(presets, directions, term_sets, seeds))
+    cells, names = [], set()
+    # a bad setting fails here, before anything is written
+    for preset, direction, terms, seed in keys:
+        name = f"{preset}_{direction.replace('->', '_to_')}_{'+'.join(terms)}_s{seed}"
+        if name in names:
+            raise ValidationError(f"repeated sweep cell {name}")
+        names.add(name)
+        cells.append(
+            build_cell(
+                preset, tuple(direction.split("->")), seed, args.samples_per_class,
+                {**base_train, "terms": terms}, os.path.join(out_dir, "cells", name),
+            )
+        )
     _echo_config(
         out_dir,
         "sweep_config.json",
@@ -421,22 +435,16 @@ def cmd_sweep(args) -> int:
         },
     )
 
-    workers = min(workers, len(cells))
-    if workers == 1:
-        results = [_run_sweep_cell(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_cell, cells))
-
-    rows = [res["row"] for res in results if res["ok"]]
+    results = run_cells(cells, workers)
+    rows = [(key, res["row"]) for key, res in zip(keys, results) if res["ok"]]
     failures = [res for res in results if not res["ok"]]
     write_atomic(
         os.path.join(out_dir, "summary.csv"),
-        ["preset,direction,terms,seed,source_acc,target_acc\n"]
+        ["preset,direction,terms,seed,source_acc,target_acc,seconds\n"]
         + [
-            f"{row['preset']},{row['direction']},{row['terms']},{row['seed']},"
-            f"{row['source_acc']!r},{row['target_acc']!r}\n"
-            for row in rows
+            f"{preset},{direction},{'+'.join(terms)},{seed},"
+            f"{row['source_acc']!r},{row['target_acc']!r},{row['seconds']:.3f}\n"
+            for (preset, direction, terms, seed), row in rows
         ],
     )
     if failures:

@@ -124,6 +124,19 @@ class Sgd:
 
 OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
+
+class _FrozenDict(dict):
+    """A dict that refuses edits in place; still a dict to asdict, json and pickle."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("read-only dict; build a new config to change it")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 # How TrainConfig turns each value it is given into its field's type
 _TRAIN_CONVERTERS = {
     "batch_size": as_int,
@@ -131,7 +144,7 @@ _TRAIN_CONVERTERS = {
     "lr": as_float,
     "optimizer": str,
     "terms": tuple,
-    "term_weights": lambda w: {k: as_float(v) for k, v in dict(w).items()},
+    "term_weights": lambda w: _FrozenDict((k, as_float(v)) for k, v in dict(w).items()),
     "prior": lambda p: p if isinstance(p, str) else tuple(as_float(x) for x in p),
     "fake_sampler": _sampler,
     "mmd_gamma": lambda g: g if g == "median-heuristic" else as_float(g),
@@ -149,9 +162,10 @@ class TrainConfig:
 
     Values are converted (_TRAIN_CONVERTERS) and checked when the config is
     built, where a bad one raises ValidationError; fields cannot be reassigned
-    afterwards.  ``prior`` is "estimate_from_source" or class probabilities,
-    ``fake_sampler`` "gaussian_input" or GeneratorSettings (or a dict of its
-    fields), ``mmd_gamma`` "median-heuristic" or a positive kernel bandwidth.
+    afterwards, nor ``term_weights`` edited in place.  ``prior`` is
+    "estimate_from_source" or class probabilities, ``fake_sampler``
+    "gaussian_input" or GeneratorSettings (or a dict of its fields),
+    ``mmd_gamma`` "median-heuristic" or a positive kernel bandwidth.
     """
 
     batch_size: int = 128

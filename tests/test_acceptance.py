@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  Training cells are cached and shared between
-criteria, so the suite runs each (preset, direction, terms, seed) cell once.
+lines as they complete.  The training cells criteria 2-5 read are listed in
+CELLS and computed once, before the first of them runs, by the runner
+`contradist sweep` uses (`cli.run_cells`): in a fork pool of
+CONTRADIST_THREADS workers (default: the CPU count), or in this process
+with one.  Pooled and in-process cells give the same bytes.
 """
 
 import json
@@ -12,16 +15,10 @@ import time
 import numpy as np
 import pytest
 
+from contradist.cli import _make_splits, build_cell, cell_workers, run_cells
 from contradist.cli import main as cli_main
-from contradist.dataset import (
-    DomainDataset,
-    Priors,
-    make_blobs,
-    preset_domains,
-    save_csv,
-    split,
-)
-from contradist.evaluation import compute_metrics, predict
+from contradist.dataset import DomainDataset, Priors, preset_domains, save_csv
+from contradist.evaluation import compute_metrics
 from contradist.losses import (
     MmdConfig,
     adv_multilabel_loss,
@@ -32,7 +29,7 @@ from contradist.losses import (
 )
 from contradist.model import forward, init_params, load_checkpoint, save_checkpoint
 from contradist.rng import Rng
-from contradist.trainer import GeneratorSettings, TrainConfig, generator_loss, train
+from contradist.trainer import TrainConfig, generator_loss, train
 from helpers import fd_gradient, max_rel_err, trace_from_logits
 
 PRESETS = ("aligned", "rotated", "overlap-source")
@@ -49,42 +46,40 @@ def report(criterion: str, ok: bool, detail: str = ""):
 # shared training cells
 # ---------------------------------------------------------------------------
 
-_dataset_cache: dict = {}
-_run_cache: dict = {}
+SS_TU_TA = ("ss", "tu", "ta")
+SAMPLERS = {"gaussian": {}, "generator": {"fake_sampler": {}}}
+
+# (preset, terms, seed, direction, fake sampler) of every cell criteria 2-5
+# read; 2000 rows per class, split 0.5 on each domain's seed, 100 epochs.
+# Slowest first (generator, then by term count), so the pool's workers
+# finish close together.
+CELLS = [("rotated", SS_TU_TA, 1, "d0->d1", "generator")]
+CELLS += [(p, SS_TU_TA, 1, d, "gaussian") for p in PRESETS for d in ("d0->d1", "d1->d0")]
+CELLS += [
+    (p, terms, seed, "d0->d1", "gaussian")
+    for terms in (("ss", "tu"), ("ss",)) for p in PRESETS for seed in (1, 2, 3)
+]
 
 
-def preset_data(preset: str, seed: int):
-    key = (preset, seed)
-    if key not in _dataset_cache:
-        specs = preset_domains(preset, seed)  # 2000 per class -> 4000 rows
-        _dataset_cache[key] = {
-            did: split(make_blobs(spec, did), 0.5, spec.seed)
-            for did, spec in specs.items()
-        }
-    return _dataset_cache[key]
+@pytest.fixture(scope="module")
+def cell(tmp_path_factory):
+    """Looks up a CELLS entry's result row (source_acc, target_acc, seconds)."""
+    out = tmp_path_factory.mktemp("cells")
+    built = [
+        build_cell(
+            preset, tuple(direction.split("->")), seed, 2000,
+            {"terms": terms, "epochs": 100, **SAMPLERS[sampler]}, str(out / str(i)),
+        )
+        for i, (preset, terms, seed, direction, sampler) in enumerate(CELLS)
+    ]
+    results = run_cells(built, cell_workers())
+    assert all(res["ok"] for res in results), [res["error"] for res in results if not res["ok"]]
+    rows = {key: res["row"] for key, res in zip(CELLS, results)}
 
+    def lookup(preset, terms=SS_TU_TA, seed=1, direction="d0->d1", sampler="gaussian"):
+        return rows[(preset, terms, seed, direction, sampler)]
 
-def run_cell(
-    preset: str, direction: str, terms: tuple, seed: int, fake_sampler="gaussian_input"
-) -> dict:
-    key = (preset, direction, terms, seed, fake_sampler)
-    if key not in _run_cache:
-        data = preset_data(preset, seed)
-        src_id, tgt_id = direction.split("->")
-        src_train, src_test = data[src_id]
-        tgt_train, tgt_test = data[tgt_id]
-        cfg = TrainConfig(terms=terms, epochs=100, seed=seed, fake_sampler=fake_sampler)
-        start = time.perf_counter()
-        params, history = train(cfg, [src_train], tgt_train.without_labels())
-        elapsed = time.perf_counter() - start
-        _run_cache[key] = {
-            "params": params,
-            "history": history,
-            "source_acc": float((predict(params, src_test.features) == src_test.labels).mean()),
-            "target_acc": float((predict(params, tgt_test.features) == tgt_test.labels).mean()),
-            "seconds": elapsed,
-        }
-    return _run_cache[key]
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +165,19 @@ def test_criterion_1_gradient_suite():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_2_toy_reproduction():
-    results = []
-    for preset in ("aligned", "rotated"):
-        cell = run_cell(preset, "d0->d1", ("ss", "tu", "ta"), seed=1)
-        results.append((preset, cell["target_acc"], cell["seconds"]))
-    ok = all(acc >= 0.98 and sec < 60.0 for _, acc, sec in results)
+def test_criterion_2_toy_reproduction(cell):
+    runs = {preset: cell(preset) for preset in ("aligned", "rotated")}
     report(
         "criterion 2: toy reproduction (ss+tu+ta >= 98%)",
-        ok,
-        ", ".join(f"{p}: {a:.4f} in {s:.1f}s" for p, a, s in results),
+        all(run["target_acc"] >= 0.98 and run["seconds"] < 60.0 for run in runs.values()),
+        ", ".join(f"{p}: {r['target_acc']:.4f} in {r['seconds']:.1f}s" for p, r in runs.items()),
     )
 
 
-def test_criterion_2_generator_sampler_reproduction():
+def test_criterion_2_generator_sampler_reproduction(cell):
     """Criterion 2's rotated cell with the generator sampler supplying the ta fakes."""
-    cell = run_cell("rotated", "d0->d1", ("ss", "tu", "ta"), 1, GeneratorSettings())
-    acc, sec = cell["target_acc"], cell["seconds"]
+    run = cell("rotated", sampler="generator")
+    acc, sec = run["target_acc"], run["seconds"]
     report(
         "criterion 2 (generator sampler): toy reproduction (ss+tu+ta >= 98%)",
         acc >= 0.98 and sec < 60.0,
@@ -194,23 +185,18 @@ def test_criterion_2_generator_sampler_reproduction():
     )
 
 
-def test_criterion_3_domain_swap_symmetry():
-    gaps = {}
-    for preset in PRESETS:
-        fwd = run_cell(preset, "d0->d1", ("ss", "tu", "ta"), seed=1)
-        rev = run_cell(preset, "d1->d0", ("ss", "tu", "ta"), seed=1)
-        gaps[preset] = abs(fwd["target_acc"] - rev["target_acc"])
-    ok = all(gap <= 0.02 for gap in gaps.values())
+def test_criterion_3_domain_swap_symmetry(cell):
+    gaps = {p: abs(cell(p)["target_acc"] - cell(p, direction="d1->d0")["target_acc"])
+            for p in PRESETS}
     report(
         "criterion 3: domain-swap symmetry (<= 2 points)",
-        ok,
+        all(gap <= 0.02 for gap in gaps.values()),
         ", ".join(f"{p}: {g * 100:.2f}pt" for p, g in gaps.items()),
     )
 
 
-def test_criterion_4_overlap_advantage():
-    ss_only = run_cell("overlap-source", "d0->d1", ("ss",), seed=1)
-    full = run_cell("overlap-source", "d0->d1", ("ss", "tu", "ta"), seed=1)
+def test_criterion_4_overlap_advantage(cell):
+    ss_only, full = cell("overlap-source", ("ss",)), cell("overlap-source")
     ok = (
         ss_only["target_acc"] < full["target_acc"]
         and full["target_acc"] >= 0.98
@@ -224,16 +210,11 @@ def test_criterion_4_overlap_advantage():
     )
 
 
-def test_criterion_5_tu_never_hurts():
-    worst_drop = -1.0
-    detail = []
-    for preset in PRESETS:
-        for seed in (1, 2, 3):
-            base = run_cell(preset, "d0->d1", ("ss",), seed)
-            with_tu = run_cell(preset, "d0->d1", ("ss", "tu"), seed)
-            drop = base["target_acc"] - with_tu["target_acc"]
-            worst_drop = max(worst_drop, drop)
-            detail.append(f"{preset}/s{seed}: {drop * 100:+.2f}pt")
+def test_criterion_5_tu_never_hurts(cell):
+    worst_drop = max(
+        cell(p, ("ss",), seed)["target_acc"] - cell(p, ("ss", "tu"), seed)["target_acc"]
+        for p in PRESETS for seed in (1, 2, 3)
+    )
     report(
         "criterion 5: adding tu never costs more than 1 point",
         worst_drop <= 0.01,
@@ -247,9 +228,8 @@ def test_criterion_5_tu_never_hurts():
 
 
 def test_criterion_6_prior_enforcing():
-    data = preset_data("aligned", seed=1)
-    src_train, _ = data["d0"]
-    tgt_train, _ = data["d1"]
+    splits = _make_splits(preset_domains("aligned", 1), 0.5)
+    src_train, tgt_train = splits["d0"][0], splits["d1"][0]
     keep0 = np.flatnonzero(tgt_train.labels == 0)  # 1000 rows
     keep1 = np.flatnonzero(tgt_train.labels == 1)[:111]  # ~0.1 of the mix
     rows = np.sort(np.concatenate([keep0, keep1]))
@@ -381,9 +361,8 @@ def test_criterion_8_invariant_suite(tmp_path):
         for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases)
     )
 
-    data = preset_data("aligned", seed=2)
-    src_train, _ = data["d0"]
-    tgt_train, _ = data["d1"]
+    splits = _make_splits(preset_domains("aligned", 2), 0.5)
+    src_train, tgt_train = splits["d0"][0], splits["d1"][0]
     cfg = TrainConfig(terms=("ss", "tu", "ta"), epochs=3, seed=4, warmup_epochs=1)
     p1, h1 = train(cfg, [src_train], tgt_train.without_labels())
     p2, h2 = train(cfg, [src_train], tgt_train.without_labels())

@@ -313,23 +313,26 @@ class TestTrain:
             assert (again / name).read_bytes() == (run / name).read_bytes(), name
 
     @pytest.mark.parametrize(
-        "widen_target, extra, message",
+        "rewrite, extra, message",
         [
-            (False, ("--prior", "0.2,0.3,0.5"), "given prior has 3 classes, sources have 2"),
-            (True, (), "all domains must share the feature width"),
+            ({}, ("--prior", "0.2,0.3,0.5"), "given prior has 3 classes, sources have 2"),
+            ({"d1_train": "widen", "d1_test": "widen"}, (),
+             "all domains must share the feature width"),
+            ({"d0_test": "unlabel"}, (), "source test set 'd0' has no labels to score"),
+            ({"d1_test": "unlabel"}, (), "target test set 'd1' has no labels to score"),
         ],
-        ids=["prior-classes", "feature-width"],
+        ids=["prior-classes", "feature-width", "unlabeled-source-test", "unlabeled-target-test"],
     )
     def test_data_contradicting_the_config_exits_1_before_writing(
-        self, tmp_path, capsys, widen_target, extra, message
+        self, tmp_path, capsys, rewrite, extra, message
     ):
         from contradist.dataset import DomainDataset, save_csv
 
         data_dir = gen(tmp_path)
-        for split in ("train", "test") if widen_target else ():
-            ds = load_csv(data_dir / f"d1_{split}.csv")
-            wide = np.column_stack([ds.features, ds.features[:, :1]])
-            save_csv(DomainDataset(wide, ds.labels), data_dir / f"d1_{split}.csv")
+        for name, how in rewrite.items():
+            ds = load_csv(data_dir / f"{name}.csv")
+            wide = DomainDataset(np.column_stack([ds.features, ds.features[:, :1]]), ds.labels)
+            save_csv(wide if how == "widen" else ds.without_labels(), data_dir / f"{name}.csv")
         capsys.readouterr()
         code, out_dir = fast_train(tmp_path, data_dir, extra=extra)
         assert code == 1
@@ -542,47 +545,45 @@ class TestContour:
 
 
 class TestSweep:
+    @staticmethod
+    def sweep(out_dir, **flags):
+        """Run sweep on small defaults (2 cells: aligned d0->d1, ss and ss+tu,
+        seed 1, 60 per class, 1 epoch); flags override them by option name."""
+        opts = {"presets": "aligned", "term_sets": "ss|ss,tu", "seeds": "1",
+                "directions": "d0->d1", "samples_per_class": "60", "epochs": "1", **flags}
+        argv = [arg for key, value in opts.items() for arg in ("--" + key.replace("_", "-"), value)]
+        return main(["sweep", *argv, "--out", str(out_dir)])
+
     def test_single_direction_matrix_row_count(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONTRADIST_THREADS", "2")
         out_dir = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep",
-                "--presets", "aligned,rotated",
-                "--term-sets", "ss|ss,tu",
-                "--seeds", "1,2",
-                "--directions", "d0->d1",
-                "--samples-per-class", "60",
-                "--epochs", "2",
-                "--out", str(out_dir),
-            ]
-        )
-        assert code == 0
+        assert self.sweep(out_dir, presets="aligned,rotated", seeds="1,2", epochs="2") == 0
         lines = (out_dir / "summary.csv").read_text().strip().split("\n")
-        assert lines[0] == "preset,direction,terms,seed,source_acc,target_acc"
+        assert lines[0] == "preset,direction,terms,seed,source_acc,target_acc,seconds"
         assert len(lines) == 9  # 2 presets x 2 term sets x 2 seeds
         assert (out_dir / "sweep_config.json").exists()
+
+    def test_pooled_cells_equal_serial_cells(self, tmp_path, monkeypatch):
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CONTRADIST_THREADS", threads)
+            out_dir = tmp_path / f"threads{threads}"
+            assert self.sweep(out_dir, presets="aligned,rotated", epochs="2") == 0
+            summary = (out_dir / "summary.csv").read_text().splitlines()
+            cells = {p.relative_to(out_dir): p.read_bytes() for p in out_dir.glob("cells/*/*")}
+            runs[threads] = [line.rsplit(",", 1)[0] for line in summary], cells  # drop seconds
+        assert len(runs["1"][0]) == 5 and len(runs["1"][1]) == 4 * 4  # ckpt, history, 2 metrics
+        assert runs["1"] == runs["2"]
 
     def test_both_directions_and_metrics_cross_check(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONTRADIST_THREADS", "1")
         out_dir = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep",
-                "--presets", "aligned",
-                "--term-sets", "ss",
-                "--seeds", "3",
-                "--samples-per-class", "60",
-                "--epochs", "2",
-                "--out", str(out_dir),
-            ]
-        )
-        assert code == 0
+        assert self.sweep(out_dir, term_sets="ss", seeds="3", directions="both", epochs="2") == 0
         lines = (out_dir / "summary.csv").read_text().strip().split("\n")[1:]
         directions = {line.split(",")[1] for line in lines}
         assert directions == {"d0->d1", "d1->d0"}
         for line in lines:
-            preset, direction, terms, seed, source_acc, target_acc = line.split(",")
+            preset, direction, terms, seed, source_acc, target_acc, _ = line.split(",")
             cell = f"{preset}_{direction.replace('->', '_to_')}_{terms}_s{seed}"
             metrics = json.loads(
                 (out_dir / "cells" / cell / "metrics_target_test.json").read_text()
@@ -592,7 +593,7 @@ class TestSweep:
     def test_non_integer_threads_env_is_a_one_line_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CONTRADIST_THREADS", "abc")
         out_dir = tmp_path / "sweep"
-        assert self.two_cell_sweep(out_dir) == 1
+        assert self.sweep(out_dir) == 1
         assert_one_line_error(capsys, "CONTRADIST_THREADS must be an integer, got 'abc'")
         assert not (out_dir / "sweep_config.json").exists()
         assert not out_dir.exists()
@@ -603,16 +604,16 @@ class TestSweep:
     ):
         monkeypatch.setenv("CONTRADIST_THREADS", threads)
         out_dir = tmp_path / "sweep"
-        assert self.two_cell_sweep(out_dir) == 1
+        assert self.sweep(out_dir) == 1
         assert_one_line_error(capsys, f"CONTRADIST_THREADS must be at least 1, got '{threads}'")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "flag, value, cell",
         [
-            ("--seeds", "3,3", "aligned_d0_to_d1_ss_s3"),
-            ("--presets", "aligned, aligned", "aligned_d0_to_d1_ss_s3"),
-            ("--term-sets", "ss|ss", "aligned_d0_to_d1_ss_s3"),
+            ("seeds", "3,3", "aligned_d0_to_d1_ss_s3"),
+            ("presets", "aligned, aligned", "aligned_d0_to_d1_ss_s3"),
+            ("term_sets", "ss|ss", "aligned_d0_to_d1_ss_s3"),
         ],
         ids=["seed", "preset", "term-set"],
     )
@@ -621,29 +622,10 @@ class TestSweep:
     ):
         monkeypatch.setenv("CONTRADIST_THREADS", "1")
         out_dir = tmp_path / "sweep"
-        argv = {
-            "--presets": "aligned", "--term-sets": "ss", "--seeds": "3",
-            "--directions": "d0->d1", "--samples-per-class": "30", "--epochs": "1",
-            "--out": str(out_dir), flag: value,
-        }
-        assert main(["sweep", *[item for pair in argv.items() for item in pair]]) == 1
+        flags = {"term_sets": "ss", "seeds": "3", "samples_per_class": "30", flag: value}
+        assert self.sweep(out_dir, **flags) == 1
         assert_one_line_error(capsys, f"repeated sweep cell {cell}")
         assert not out_dir.exists()
-
-    @staticmethod
-    def two_cell_sweep(out_dir):
-        return main(
-            [
-                "sweep",
-                "--presets", "aligned",
-                "--term-sets", "ss|ss,tu",
-                "--seeds", "1",
-                "--directions", "d0->d1",
-                "--samples-per-class", "60",
-                "--epochs", "1",
-                "--out", str(out_dir),
-            ]
-        )
 
     def test_failed_cell_recorded_and_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CONTRADIST_THREADS", "1")
@@ -651,7 +633,7 @@ class TestSweep:
         # a file where one cell's directory belongs makes that cell fail at run time
         (out_dir / "cells").mkdir(parents=True)
         (out_dir / "cells" / "aligned_d0_to_d1_ss+tu_s1").write_text("bogus")
-        assert self.two_cell_sweep(out_dir) == 2
+        assert self.sweep(out_dir) == 2
         lines = (out_dir / "summary.csv").read_text().strip().split("\n")
         assert len(lines) == 2  # header + the cell that succeeded
         failures = json.loads((out_dir / "failures.json").read_text())
@@ -671,7 +653,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "_train_and_score", flaky)
         out_dir = tmp_path / "sweep"
-        assert self.two_cell_sweep(out_dir) == 2
+        assert self.sweep(out_dir) == 2
         lines = (out_dir / "summary.csv").read_text().strip().split("\n")
         assert len(lines) == 2
         failures = json.loads((out_dir / "failures.json").read_text())
@@ -697,8 +679,8 @@ class TestTopLevel:
             ("predict", ["eval", "--checkpoint", "{ckpt}", "--data", "{data}/d0_test.csv"]),
             ("contour_grid", ["contour", "--checkpoint", "{ckpt}", "--bounds=-1,1,-1,1",
                               "--out", "{out}/contour.csv"]),
-            ("_sweep_cell_setup", ["sweep", "--presets", "aligned", "--term-sets", "ss",
-                                   "--seeds", "1", "--out", "{out}"]),
+            ("preset_domains", ["sweep", "--presets", "aligned", "--term-sets", "ss",
+                                "--seeds", "1", "--out", "{out}"]),
         ],
         ids=["gen-data", "train", "eval", "contour", "sweep"],
     )

@@ -1,5 +1,6 @@
 """Training loop contracts: determinism, term handling, fakes, generator."""
 
+import pickle
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -95,6 +96,19 @@ class TestConfigValidation:
             cfg.batch_size = 0
         with pytest.raises(ValidationError, match="batch_size must be >= 1"):
             replace(cfg, batch_size=0)
+
+    def test_term_weights_cannot_be_edited_in_place(self):
+        cfg = quick_cfg(term_weights={"tu": 0.5})
+        for edit in (
+            lambda w: w.__setitem__("tu", -1.0), lambda w: w.update(tu=-1.0),
+            lambda w: w.setdefault("ta", -1.0), lambda w: w.pop("tu"), lambda w: w.clear(),
+        ):
+            with pytest.raises(TypeError, match="read-only"):
+                edit(cfg.term_weights)
+        assert cfg.weight("tu") == 0.5
+        assert asdict(cfg)["term_weights"] == {"tu": 0.5}
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert replace(cfg, term_weights={"tu": 2}).weight("tu") == 2.0
 
     def test_integer_fields_accept_ints_and_integer_strings(self):
         cfg = train_config_from_dict(
