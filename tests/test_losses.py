@@ -12,6 +12,7 @@ from contradist.errors import NumericError, ShapeError, ValidationError
 from contradist.losses import (
     LossValue,
     MmdConfig,
+    _median,
     adv_multilabel_loss,
     ce_loss,
     contradistinguish_loss,
@@ -339,11 +340,20 @@ class TestKernelMmd:
             with pytest.raises(NumericError):
                 kernel_mmd(a, a.copy(), MmdConfig())
 
-    @pytest.mark.parametrize("gamma", [0.01, "median-heuristic"])
-    def test_matches_direct_difference_form(self, gamma):
+    @pytest.mark.parametrize(
+        "gamma, n_a, n_b",
+        [
+            pytest.param(0.01, 128, 96, id="0.01"),
+            pytest.param("median-heuristic", 128, 96, id="median-heuristic"),
+            # 63 cross distances: the median's odd-count branch
+            pytest.param(0.01, 7, 9, id="0.01-7x9"),
+            pytest.param("median-heuristic", 7, 9, id="median-heuristic-7x9"),
+        ],
+    )
+    def test_matches_direct_difference_form(self, gamma, n_a, n_b):
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(128, 64))
-        b = rng.normal(loc=0.3, size=(96, 64))
+        a = rng.normal(size=(n_a, 64))
+        b = rng.normal(loc=0.3, size=(n_b, 64))
         lv = kernel_mmd(a, b, MmdConfig(gamma=gamma))
 
         # the (n, m, d) difference-tensor reference
@@ -355,7 +365,6 @@ class TestKernelMmd:
         k_aa = np.exp(-g * (diff_aa**2).sum(-1))
         k_bb = np.exp(-g * (diff_bb**2).sum(-1))
         k_ab = np.exp(-g * d2_ab)
-        n_a, n_b = len(a), len(b)
         value = k_aa.mean() + k_bb.mean() - 2.0 * k_ab.mean()
         d_a = (-4 * g / n_a**2) * np.einsum("ij,ijd->id", k_aa, diff_aa)
         d_a += (4 * g / (n_a * n_b)) * np.einsum("ij,ijd->id", k_ab, diff_ab)
@@ -378,6 +387,30 @@ class TestKernelMmd:
     def test_width_mismatch_raises(self):
         with pytest.raises(ShapeError):
             kernel_mmd(np.zeros((2, 2)), np.zeros((2, 3)), MmdConfig(gamma=1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("gamma", [1.0, "median-heuristic"])
+    def test_non_finite_embeddings_raise(self, gamma, side, bad):
+        rng = np.random.default_rng(12)
+        emb = {"a": rng.normal(size=(6, 3)), "b": rng.normal(size=(5, 3))}
+        emb[side][2, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            kernel_mmd(emb["a"], emb["b"], MmdConfig(gamma=gamma))
+
+
+# squared distances as kernel_mmd gives them: non-negative (a clamped zero is
+# +0.0, never -0.0) and often tied (equal rows, clamped pairs)
+distances = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e300)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(distances, min_size=1, max_size=300))
+def test_one_pivot_median_is_np_median_bit_for_bit(values):
+    values = np.array(values)
+    assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
 
 class TestMultiSourceSupervised:

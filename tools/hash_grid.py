@@ -1,12 +1,18 @@
 """Print fixed-seed result hashes for the 96-cell training grid.
 
-Each line is one cell: its id, the SHA-256 of the trained parameters (each
-layer's W then b as little-endian float64 bytes) and the SHA-256 of the
-history (one ``json.dumps(record, sort_keys=True)`` line per epoch).  The
-configs are built from ``train`` config-file dicts, so two checkouts whose
-file schema agrees can be compared with ``diff``:
+The first line is ``# `` and the NumPy/BLAS build and machine that ran the
+grid.  Each further line is one cell: its id, the SHA-256 of the trained
+parameters (each layer's W then b as little-endian float64 bytes) and the
+SHA-256 of the history (one ``json.dumps(record, sort_keys=True)`` line per
+epoch).  The configs are built from ``train`` config-file dicts, so two
+checkouts whose file schema agrees can be compared with ``diff``:
 
     PYTHONPATH=src python tools/hash_grid.py > a.txt
+
+``tests/hash_grid_golden.txt`` is this output, committed;
+``tests/test_hash_grid.py`` diffs a fresh run against it.  A change that
+alters training numerics on purpose regenerates it with the command above
+(``> tests/hash_grid_golden.txt``) on the build the file records.
 
 The grid: two labeled sources of 2-class blobs (centers (-2, 0) and (2, 0),
 std 0.5; 60 and 75 per class, rotated 0 and 15 degrees, seeds 1 and 2) and an
@@ -20,6 +26,7 @@ generator sampler is invalid, so those cells are left out.
 import hashlib
 import itertools
 import json
+import platform
 import sys
 from dataclasses import asdict
 
@@ -56,7 +63,17 @@ def cells():
         yield f"{terms}/{fakes}/{n_src}src/{opt}/{weights}", n_src, section
 
 
-def main() -> int:
+def build() -> str:
+    """The NumPy version, BLAS name and version, and machine, as one line."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"numpy {np.__version__}; blas {blas['name']} {blas['version']}; "
+        f"{platform.machine()}"
+    )
+
+
+def hash_lines():
+    """Yield each cell's output line, training the cells one by one."""
     sources = [blobs(60, 0.0, 1, "s0"), blobs(75, 15.0, 2, "s1")]
     target = blobs(70, 35.0, 3, "t").without_labels()
     for cell_id, n_src, section in cells():
@@ -68,7 +85,13 @@ def main() -> int:
         h = hashlib.sha256()
         for rec in history.records:
             h.update((json.dumps(asdict(rec), sort_keys=True) + "\n").encode())
-        print(cell_id, p.hexdigest(), h.hexdigest(), flush=True)
+        yield f"{cell_id} {p.hexdigest()} {h.hexdigest()}"
+
+
+def main() -> int:
+    print(f"# {build()}")
+    for line in hash_lines():
+        print(line, flush=True)
     return 0
 
 
