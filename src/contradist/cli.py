@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, eval, contour, sweep.  Every command echoes
 its resolved configuration into the output directory so a run can be
 reproduced from the config file plus the seed.  Flags override config-file
-fields.  Exit codes: 0 success, 1 validation error, 2 runtime/numeric
-error.
+fields.  Exit codes: 0 success, 1 validation error or a path that names
+no file, 2 runtime/numeric error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import sys
 import time
 import traceback
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -94,23 +95,34 @@ def _echo_config(out_dir: str, name: str, obj: dict) -> None:
     write_atomic(os.path.join(out_dir, name), [json.dumps(obj, indent=2) + "\n"])
 
 
-def _given_flags(args, names: tuple[str, ...]) -> dict:
+def _given_flags(args, names: Iterable[str]) -> dict:
     """The named flags that were given on the command line."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _parse_csv_list(text: str) -> list[str]:
+# type= parsers: each turns a flag's text into the value of the config key it sets
+def _csv_list(text: str) -> list[str]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise ValidationError(f"empty list argument {text!r}")
+        raise argparse.ArgumentTypeError(f"empty list argument {text!r}")
     return items
 
 
-def _parse_numbers(text: str, kind: type, flag: str) -> list:
+def _numbers(text: str, kind: type = float) -> list:
     try:
-        return [kind(item) for item in _parse_csv_list(text)]
+        return [kind(item) for item in _csv_list(text)]
     except ValueError as exc:
-        raise ValidationError(f"{flag}: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _term_weights(text: str) -> dict[str, str]:
+    weights = {}
+    for item in _csv_list(text):
+        term, _, value = item.partition("=")
+        if not value:
+            raise argparse.ArgumentTypeError(f"bad --weights item {item!r}, expected term=value")
+        weights[term] = value
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +141,15 @@ def _make_splits(
 
 
 def cmd_gen_data(args) -> int:
+    flags = _given_flags(args, ("preset", "seed", "samples_per_class", "out_dir"))
     cfg = {
         "schema_version": SCHEMA_VERSION,
         "seed": 0,
         "samples_per_class": 2000,
         "train_fraction": 0.5,
+        **_load_config_file(args.config),
+        **flags,
     }
-    cfg.update(_load_config_file(args.config))
-    if args.preset is not None:
-        cfg.pop("domains", None)
-    cfg.update(_given_flags(args, ("preset", "seed", "samples_per_class")))
-    if args.out is not None:
-        cfg["out_dir"] = args.out
     if "preset" not in cfg and "domains" not in cfg:
         raise ValidationError(
             f"need --preset or a config with domains; presets: {', '.join(preset_names())}"
@@ -150,6 +159,13 @@ def cmd_gen_data(args) -> int:
     _check_config(cfg, _GEN_DATA_TYPES, "gen-data config file")
 
     if "domains" in cfg:
+        if "preset" in cfg:
+            raise ValidationError("give a preset or explicit domains, not both")
+        if "seed" in flags or "samples_per_class" in flags:
+            raise ValidationError(
+                "--seed and --samples-per-class apply to a preset; explicit domains "
+                "take seed and samples_per_class from each blob spec"
+            )
         specs = {name: BlobSpec.from_dict(spec) for name, spec in cfg["domains"].items()}
     else:
         specs = preset_domains(cfg["preset"], cfg["seed"], cfg["samples_per_class"])
@@ -170,42 +186,29 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# train flags that set the train key of their own name
+_TRAIN_FLAGS = (
+    "epochs", "batch_size", "lr", "optimizer", "seed", "terms", "hidden_dims", "prior",
+    "mmd_gamma", "term_weights",
+)
+
+
 def _train_config_from_args(args, file_train: dict) -> TrainConfig:
-    flags = _given_flags(args, ("epochs", "batch_size", "lr", "optimizer", "seed"))
-    merged = {**file_train, **flags}
-    if args.terms is not None:
-        merged["terms"] = _parse_csv_list(args.terms)
-    if args.hidden_dims is not None:
-        merged["hidden_dims"] = _parse_csv_list(args.hidden_dims)
-    if args.prior is not None:
-        if args.prior == "estimate":
-            merged["prior"] = "estimate_from_source"
-        else:
-            merged["prior"] = _parse_csv_list(args.prior)
+    train = {**file_train, **_given_flags(args, _TRAIN_FLAGS)}
     if args.fake_sampler == "gaussian":
-        merged["fake_sampler"] = "gaussian_input"
-    elif args.fake_sampler == "generator":
-        sampler = merged.get("fake_sampler")
-        merged["fake_sampler"] = sampler if isinstance(sampler, dict) else {}
-    if args.noise_dim is not None or args.gen_lr is not None:
-        sampler = merged.get("fake_sampler")
-        sampler = dict(sampler) if isinstance(sampler, dict) else {}
-        if args.noise_dim is not None:
-            sampler["noise_dim"] = args.noise_dim
-        if args.gen_lr is not None:
-            sampler["lr"] = args.gen_lr
-        merged["fake_sampler"] = sampler
-    if args.mmd_gamma is not None:
-        merged["mmd_gamma"] = "median-heuristic" if args.mmd_gamma == "median" else args.mmd_gamma
-    if args.weights is not None:
-        weights = {}
-        for item in _parse_csv_list(args.weights):
-            term, _, value = item.partition("=")
-            if not value:
-                raise ValidationError(f"bad --weights item {item!r}, expected term=value")
-            weights[term] = value
-        merged["term_weights"] = weights
-    return train_config_from_dict(merged)
+        train["fake_sampler"] = "gaussian_input"
+    elif args.fake_sampler == "generator" and not isinstance(train.get("fake_sampler"), dict):
+        train["fake_sampler"] = {}
+    generator = {"noise_dim": args.noise_dim, "lr": args.gen_lr}
+    generator = {key: value for key, value in generator.items() if value is not None}
+    if generator:
+        if not isinstance(train.get("fake_sampler"), dict):
+            raise ValidationError(
+                "--noise-dim and --gen-lr need the generator sampler: give "
+                "--fake-sampler generator or a fake_sampler object in the config"
+            )
+        train["fake_sampler"] = {**train["fake_sampler"], **generator}
+    return train_config_from_dict(train)
 
 
 def _load_domain(data_dir: str, name: str, suffix: str) -> DomainDataset:
@@ -245,21 +248,23 @@ def _train_and_score(
     return metrics[0].accuracy, metrics[1].accuracy
 
 
+# the run paths of train: config key -> the flag that overrides it
+_RUN_FLAGS = {
+    "data_dir": "--data-dir", "sources": "--sources", "target": "--target", "out_dir": "--out"
+}
+
+
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     _check_config(file_cfg, _TRAIN_TYPES, "train config file")
-    data_dir = args.data_dir or file_cfg.get("data_dir")
-    sources = _parse_csv_list(args.sources) if args.sources else file_cfg.get("sources")
-    target = args.target or file_cfg.get("target")
-    out_dir = args.out or file_cfg.get("out_dir")
-    for field_name, value in (
-        ("--data-dir", data_dir),
-        ("--sources", sources),
-        ("--target", target),
-        ("--out", out_dir),
-    ):
-        if not value:
-            raise ValidationError(f"{field_name} is required (flag or config)")
+    run = {key: file_cfg.get(key) for key in _RUN_FLAGS} | _given_flags(args, _RUN_FLAGS)
+    for key, flag in _RUN_FLAGS.items():
+        if not run[key]:
+            raise ValidationError(f"{flag} is required (flag or config)")
+    data_dir, sources, target, out_dir = run.values()
+    for i, name in enumerate([*sources, target]):  # a target's labels must not supervise
+        if name in sources[:i]:
+            raise ValidationError(f"domain {name!r} is given twice: sources and target must differ")
     cfg = _train_config_from_args(args, file_cfg.get("train", {}))
     splits = ("train", "test")
     source_sets = [tuple(_load_domain(data_dir, name, s) for s in splits) for name in sources]
@@ -270,14 +275,7 @@ def cmd_train(args) -> int:
         if test.labels is None:
             raise ValidationError(f"{role} test set {test.domain_id!r} has no labels to score")
 
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "data_dir": data_dir,
-        "sources": list(sources),
-        "target": target,
-        "out_dir": out_dir,
-        "train": asdict(cfg),
-    }
+    resolved = {"schema_version": SCHEMA_VERSION, **run, "train": asdict(cfg)}
     _echo_config(out_dir, "config.json", resolved)
     source_acc, target_acc = _train_and_score(cfg, source_sets, target_sets, out_dir)
     print(f"source test accuracy: {source_acc:.4f}")
@@ -304,14 +302,9 @@ def cmd_eval(args) -> int:
 
 def cmd_contour(args) -> int:
     params = load_checkpoint(args.checkpoint)
-    if args.bounds is not None:
-        bounds = tuple(_parse_numbers(args.bounds, float, "--bounds"))
-        if len(bounds) != 4:
-            raise ValidationError("--bounds needs x_min,x_max,y_min,y_max")
-    elif args.data is not None:
-        bounds = default_bounds(load_csv(args.data).features)
-    else:
-        raise ValidationError("need --bounds or --data to frame the grid")
+    if args.bounds is not None and len(args.bounds) != 4:
+        raise ValidationError("--bounds needs x_min,x_max,y_min,y_max")
+    bounds = args.bounds or default_bounds(load_csv(args.data).features)
     grid = contour_grid(params, bounds, args.resolution)
     save_contour_csv(grid, args.out)
     print(f"wrote {grid.resolution ** 2} grid rows to {args.out}")
@@ -399,15 +392,12 @@ def run_cells(cells: list[Cell], workers: int) -> list[dict]:
 
 def cmd_sweep(args) -> int:
     workers = cell_workers()
-    presets = _parse_csv_list(args.presets)
-    term_sets = [tuple(_parse_csv_list(chunk)) for chunk in args.term_sets.split("|")]
-    seeds = _parse_numbers(args.seeds, int, "--seeds")
     directions = ["d0->d1", "d1->d0"] if args.directions == "both" else [args.directions]
 
     base_train = _given_flags(args, ("epochs", "batch_size", "lr"))
 
     out_dir = args.out
-    keys = list(itertools.product(presets, directions, term_sets, seeds))
+    keys = list(itertools.product(args.presets, directions, args.term_sets, args.seeds))
     cells, names = [], set()
     # a bad setting fails here, before anything is written
     for preset, direction, terms, seed in keys:
@@ -426,10 +416,10 @@ def cmd_sweep(args) -> int:
         "sweep_config.json",
         {
             "schema_version": SCHEMA_VERSION,
-            "presets": presets,
+            "presets": args.presets,
             "directions": directions,
-            "term_sets": ["+".join(t) for t in term_sets],
-            "seeds": seeds,
+            "term_sets": ["+".join(t) for t in args.term_sets],
+            "seeds": args.seeds,
             "samples_per_class": args.samples_per_class,
             "train": base_train,
         },
@@ -464,33 +454,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="contradist", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("gen-data", parents=[], help="generate preset blob domains as CSVs")
+    p = sub.add_parser("gen-data", help="generate preset blob domains as CSVs")
     p.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
     p.add_argument("--seed", type=int)
     p.add_argument("--samples-per-class", type=int)
     p.add_argument("--config", help="JSON config (flags override fields)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train on labeled sources plus an unlabeled target")
     p.add_argument("--config", help="JSON config (flags override fields)")
     p.add_argument("--data-dir")
-    p.add_argument("--sources", help="comma-separated source domain names")
+    p.add_argument("--sources", type=_csv_list, help="comma-separated source domain names")
     p.add_argument("--target")
-    p.add_argument("--out")
-    p.add_argument("--terms", help="comma-separated subset of ss,su,tu,sa,ta")
+    p.add_argument("--out", dest="out_dir")
+    p.add_argument("--terms", type=_csv_list, help="comma-separated subset of ss,su,tu,sa,ta")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--optimizer", choices=["adam", "sgd"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--hidden-dims", help="comma-separated hidden layer widths")
-    p.add_argument("--prior", help="'estimate' or comma-separated probabilities")
+    p.add_argument("--hidden-dims", type=_csv_list, help="comma-separated hidden layer widths")
+    p.add_argument(
+        "--prior", help="'estimate' or comma-separated probabilities",
+        type=lambda text: "estimate_from_source" if text == "estimate" else _csv_list(text),
+    )
     p.add_argument("--fake-sampler", choices=("gaussian", "generator"))
     p.add_argument("--noise-dim", type=int)
     p.add_argument("--gen-lr", type=float)
-    p.add_argument("--mmd-gamma", help="'median' or a positive real")
-    p.add_argument("--weights", help="term=value list, e.g. ss=1.0,tu=0.5")
+    p.add_argument(
+        "--mmd-gamma", type=lambda text: "median-heuristic" if text == "median" else text,
+        help="'median' or a positive real",
+    )
+    p.add_argument(
+        "--weights", dest="term_weights", type=_term_weights,
+        help="term=value list, e.g. ss=1.0,tu=0.5",
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a labeled CSV")
@@ -501,16 +500,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contour", help="export decision-boundary grid CSV")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--bounds", help="x_min,x_max,y_min,y_max")
-    p.add_argument("--data", help="CSV whose bounding box (+20%% per side) frames the grid")
+    frame = p.add_mutually_exclusive_group(required=True)
+    frame.add_argument("--bounds", type=_numbers, help="x_min,x_max,y_min,y_max")
+    frame.add_argument("--data", help="CSV whose bounding box (+20%% per side) frames the grid")
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("sweep", help="run a preset x terms x seed matrix")
-    p.add_argument("--presets", required=True)
-    p.add_argument("--term-sets", required=True, help="'|'-separated term lists, e.g. 'ss|ss,tu,ta'")
-    p.add_argument("--seeds", required=True)
+    p.add_argument("--presets", type=_csv_list, required=True)
+    p.add_argument(
+        "--term-sets", type=lambda text: [tuple(_csv_list(part)) for part in text.split("|")],
+        required=True, help="'|'-separated term lists, e.g. 'ss|ss,tu,ta'",
+    )
+    p.add_argument("--seeds", type=lambda text: _numbers(text, int), required=True)
     p.add_argument("--directions", default="both", choices=("both", "d0->d1", "d1->d0"))
     p.add_argument("--samples-per-class", type=int, default=2000)
     p.add_argument("--epochs", type=int)
@@ -529,7 +532,7 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return int(args.func(args) or 0)
-    except (ValidationError, CsvParseError, ShapeError) as exc:
+    except (ValidationError, CsvParseError, ShapeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, CheckpointError, OSError) as exc:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from contradist.cli import main
+from contradist.cli import build_parser, main
 from contradist.dataset import load_csv
 
 FAST_TRAIN = [
@@ -301,6 +301,24 @@ class TestTrain:
         monkeypatch.chdir(tmp_path)
         write_full_train_config(tmp_path)
         assert main(["train", "--config", "train.json"]) == 0
+        assert (tmp_path / "run" / "config.json").read_text() == FULL_CONFIG_JSON
+
+    def test_every_train_flag_sets_its_config_key(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_full_train_config(tmp_path)
+        # FULL_TRAIN as flags; the file gives only the keys no flag sets
+        rest = {"warmup_epochs": 0, "ramp_epochs": 1, "fake_sampler": {"hidden_dims": [8]}}
+        (tmp_path / "train.json").write_text(json.dumps({"schema_version": 1, "train": rest}))
+        argv = [
+            "train", "--config", "train.json", "--data-dir", "data", "--sources", "d0",
+            "--target", "d1", "--out", "run", "--terms", "ss,tu,ta", "--epochs", "2",
+            "--batch-size", "16", "--lr", "0.004", "--optimizer", "sgd", "--seed", "4",
+            "--hidden-dims", "8,8", "--prior", "0.4,0.6", "--fake-sampler", "generator",
+            "--noise-dim", "3", "--gen-lr", "0.002", "--mmd-gamma", "0.5",
+            "--weights", "tu=1,ta=0.5,gen=2",
+        ]
+        assert None not in vars(build_parser().parse_args(argv)).values()  # every flag given
+        assert main(argv) == 0
         assert (tmp_path / "run" / "config.json").read_text() == FULL_CONFIG_JSON
 
     def test_echoed_config_reproduces_the_run(self, tmp_path, monkeypatch):
@@ -721,6 +739,7 @@ CONTOUR = ["contour", "--checkpoint", "{ckpt}", "--out", "{out}"]
 SWEEP = ["sweep", "--presets", "aligned", "--term-sets", "ss", "--out", "{out}"]
 TRAIN = ["train", "--config", "{cfg}", "--out", "{out}"]
 TRAIN_PATHS = {"data_dir": "data", "sources": ["d0"], "target": "d1"}
+NO_SUCH_FILE = "No such file or directory"
 
 
 @pytest.mark.parametrize(
@@ -786,6 +805,33 @@ TRAIN_PATHS = {"data_dir": "data", "sources": ["d0"], "target": "d1"}
          "argument --fake-sampler: invalid choice: 'gaussain'"),
         (None, [*SWEEP, "--seeds", "1", "--directions", "d1->d2"],
          "argument --directions: invalid choice: 'd1->d2'"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {"noise_dim": 2}}},
+         [*TRAIN, "--fake-sampler", "gaussian", "--noise-dim", "4"],
+         "--noise-dim and --gen-lr need the generator sampler"),
+        (TRAIN_PATHS, [*TRAIN, "--gen-lr", "0.01"],
+         "--noise-dim and --gen-lr need the generator sampler"),
+        ({"preset": "aligned", "domains": {"a": BLOB}}, GEN,
+         "give a preset or explicit domains, not both"),
+        ({"domains": {"a": BLOB}}, [*GEN, "--preset", "aligned"],
+         "give a preset or explicit domains, not both"),
+        ({"domains": {"a": BLOB}}, [*GEN, "--seed", "7"],
+         "--seed and --samples-per-class apply to a preset"),
+        ({"domains": {"a": BLOB}}, [*GEN, "--samples-per-class", "7"],
+         "--seed and --samples-per-class apply to a preset"),
+        ({**TRAIN_PATHS, "sources": ["d0", "d1"]}, TRAIN,
+         "domain 'd1' is given twice: sources and target must differ"),
+        (TRAIN_PATHS, [*TRAIN, "--sources", "d0,d0"],
+         "domain 'd0' is given twice: sources and target must differ"),
+        (None, ["train", "--config", "{out}/train.json"], NO_SUCH_FILE),
+        (None, ["gen-data", "--config", "{out}/gen.json", "--out", "{out}"], NO_SUCH_FILE),
+        (None, ["eval", "--checkpoint", "{out}/model.ckpt", "--data", "{cfg}"], NO_SUCH_FILE),
+        (None, ["eval", "--checkpoint", "{ckpt}", "--data", "{out}/d1_test.csv"], NO_SUCH_FILE),
+        (None, ["contour", "--checkpoint", "{out}/model.ckpt", "--bounds=-1,1,-1,1",
+                "--out", "{out}"], NO_SUCH_FILE),
+        (None, [*CONTOUR, "--data", "{out}/d1_train.csv"], NO_SUCH_FILE),
+        (None, [*CONTOUR, "--bounds=-1,1,-1,1", "--data", "{cfg}"],
+         "argument --data: not allowed with argument --bounds"),
+        (None, CONTOUR, "one of the arguments --bounds --data is required"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -797,7 +843,13 @@ TRAIN_PATHS = {"data_dir": "data", "sources": ["d0"], "target": "d1"}
         "sweep-unknown-term", "train-lr-bool", "train-weight-bool", "train-mmd-gamma-bool",
         "generator-lr-bool", "blob-rotation-bool", "blob-offset-bool", "blob-center-bool",
         "blob-std-bool", "gen-data-unsplittable", "sweep-unsplittable", "train-fake-sampler-typo",
-        "sweep-direction-typo",
+        "sweep-direction-typo", "noise-dim-gaussian-sampler", "gen-lr-default-sampler",
+        "gen-data-preset-and-domains", "gen-data-preset-flag-and-domains",
+        "gen-data-seed-flag-and-domains", "gen-data-samples-flag-and-domains",
+        "train-target-is-source", "train-repeated-source", "train-config-missing",
+        "gen-data-config-missing", "eval-checkpoint-missing", "eval-data-missing",
+        "contour-checkpoint-missing", "contour-data-missing", "contour-bounds-and-data",
+        "contour-no-frame",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):
