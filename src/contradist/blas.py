@@ -20,9 +20,17 @@ after it returned on two threads and none on one.  Capping `predict` and
 block or, as a decorator, for a call, and restores the previous count;
 where no OpenBLAS with a thread-count setter is loaded it does nothing.
 The count is process-wide, so other Python threads run under the cap
-during the block too.  OpenBLAS splits a product over its rows and
-columns, never along the summed dimension, so the thread count does not
-change any result.
+during the block too.
+
+Whether the thread count changes a result depends on the kernel OpenBLAS
+picks for the CPU, which `core_name()` reports.  Measured with
+scipy-openblas 0.3.31 on a 2-vCPU x86_64 VM: on `SkylakeX`, the kernel it
+picks there, a classifier step, the generator loss and an 8,100-row
+contour forward are bit-equal on one and two threads (tests/test_blas.py).
+On `Haswell`, forced with OPENBLAS_CORETYPE on the same VM, the two-thread
+contour forward differs from the one-thread one in 2 rows by 5.6e-17.
+Training always runs on one thread, so fixed-seed results on one machine
+stay deterministic on either kernel.
 """
 
 from __future__ import annotations
@@ -34,10 +42,10 @@ from typing import Iterator
 
 import numpy as np  # noqa: F401  loads the BLAS that _controls looks for
 
-# plain OpenBLAS, its 64-bit-integer build, and the scipy-openblas build
-# that NumPy wheels bundle
+# (thread-count getter, setter, core-name getter) of plain OpenBLAS, its
+# 64-bit-integer build, and the scipy-openblas build that NumPy wheels bundle
 _NAMES = [
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    [f"{prefix}_{fn}{suffix}" for fn in ("get_num_threads", "set_num_threads", "get_corename")]
     for prefix in ("openblas", "scipy_openblas")
     for suffix in ("", "64_")
 ]
@@ -45,7 +53,7 @@ _NAMES = [
 
 @functools.cache
 def _controls():
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    """(get, set, corename) functions of the loaded OpenBLAS (corename may be None), or None."""
     try:
         with open("/proc/self/maps") as fh:  # Linux; elsewhere no cap
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
@@ -56,13 +64,23 @@ def _controls():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _NAMES:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        for names in _NAMES:
+            get, set_, corename = (getattr(lib, name, None) for name in names)
             if get is not None and set_ is not None:
                 get.restype, get.argtypes = ctypes.c_int, []
                 set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+                if corename is not None:
+                    corename.restype, corename.argtypes = ctypes.c_char_p, []
+                return get, set_, corename
     return None
+
+
+def core_name() -> str | None:
+    """The kernel the loaded OpenBLAS picked for this CPU ("SkylakeX"), or None."""
+    controls = _controls()
+    if controls is None or controls[2] is None:
+        return None
+    return controls[2]().decode()
 
 
 @contextlib.contextmanager
@@ -72,7 +90,7 @@ def one_thread() -> Iterator[None]:
     if controls is None:
         yield
         return
-    get, set_ = controls
+    get, set_, _ = controls
     before = get()
     set_(1)
     try:

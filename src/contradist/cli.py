@@ -212,10 +212,7 @@ def _train_config_from_args(args, file_train: dict) -> TrainConfig:
 
 
 def _load_domain(data_dir: str, name: str, suffix: str) -> DomainDataset:
-    path = os.path.join(data_dir, f"{name}_{suffix}.csv")
-    if not os.path.exists(path):
-        raise ValidationError(f"missing dataset file {path}")
-    return load_csv(path, domain_id=name)
+    return load_csv(os.path.join(data_dir, f"{name}_{suffix}.csv"), domain_id=name)
 
 
 def _train_and_score(
@@ -293,10 +290,10 @@ def cmd_eval(args) -> int:
     ds = load_csv(args.data, k=params.num_classes)
     if ds.labels is None:
         raise ValidationError(f"{args.data}: dataset is unlabeled, cannot score it")
-    metrics = compute_metrics(predict(params, ds.features), ds.labels, params.num_classes)
-    print(metrics.to_json())
-    if args.out is not None:
-        write_atomic(args.out, [metrics.to_json() + "\n"])
+    text = compute_metrics(predict(params, ds.features), ds.labels, params.num_classes).to_json()
+    if args.out is not None:  # written first, so a bad --out prints nothing
+        write_atomic(args.out, [text + "\n"])
+    print(text)
     return 0
 
 
@@ -307,7 +304,7 @@ def cmd_contour(args) -> int:
     bounds = args.bounds or default_bounds(load_csv(args.data).features)
     grid = contour_grid(params, bounds, args.resolution)
     save_contour_csv(grid, args.out)
-    print(f"wrote {grid.resolution ** 2} grid rows to {args.out}")
+    print(f"wrote {len(grid.points)} grid rows to {args.out}")
     return 0
 
 

@@ -63,7 +63,7 @@ class BlobSpec:
             for c in obj["classes"]:
                 check_keys(c, ("center", "std"), "blob class")
             classes = tuple(
-                ((as_float(c["center"][0]), as_float(c["center"][1])), as_float(c["std"]))
+                (tuple(as_float(v) for v in c["center"]), as_float(c["std"]))
                 for c in obj["classes"]
             )
             return BlobSpec(
@@ -73,7 +73,7 @@ class BlobSpec:
                 offset=tuple(as_float(v) for v in obj.get("offset", (0, 0))),
                 seed=as_int(obj.get("seed", 0)),
             )
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed blob spec: {exc}") from exc
 
 

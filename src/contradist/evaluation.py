@@ -40,17 +40,17 @@ class Metrics:
     confusion: np.ndarray
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class_precision": self.per_class_precision,
-            "per_class_recall": self.per_class_recall,
-            "confusion": self.confusion.tolist(),
-            "n": self.n,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(
+            {
+                "accuracy": self.accuracy,
+                "per_class_precision": self.per_class_precision,
+                "per_class_recall": self.per_class_recall,
+                "confusion": self.confusion.tolist(),
+                "n": self.n,
+            },
+            indent=2,
+        )
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray, k: int) -> Metrics:
@@ -78,11 +78,6 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray, k: int) -> Metrics:
 class ContourGrid:
     """Class probabilities over a regular 2-D grid, row-major with x fastest."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    resolution: int
     points: np.ndarray  # (resolution**2, 2)
     probs: np.ndarray  # (resolution**2, K)
     preds: np.ndarray  # (resolution**2,)
@@ -108,7 +103,7 @@ def contour_grid(
     for i in range(0, len(points), CHUNK_ROWS):
         probs[i : i + CHUNK_ROWS] = forward(params, points[i : i + CHUNK_ROWS]).probs
     preds = np.argmax(probs, axis=1).astype(np.int64)
-    return ContourGrid(x_min, x_max, y_min, y_max, resolution, points, probs, preds)
+    return ContourGrid(points, probs, preds)
 
 
 def default_bounds(

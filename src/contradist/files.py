@@ -17,7 +17,12 @@ def write_atomic(path: str | os.PathLike, chunks: Iterable[str | bytes]) -> None
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, "wb")
+    except OSError as exc:  # name the file asked for, not its temp file
+        exc.filename = path
+        raise
+    try:
+        with fh:
             for chunk in chunks:
                 fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)

@@ -164,8 +164,9 @@ class TrainConfig:
     built, where a bad one raises ValidationError; fields cannot be reassigned
     afterwards, nor ``term_weights`` edited in place.  ``prior`` is
     "estimate_from_source" or class probabilities, ``fake_sampler``
-    "gaussian_input" or GeneratorSettings (or a dict of its fields),
-    ``mmd_gamma`` "median-heuristic" or a positive kernel bandwidth.
+    "gaussian_input" or GeneratorSettings (or a dict of its fields; the
+    classifier then needs a hidden layer), ``mmd_gamma`` "median-heuristic"
+    or, with the generator, a positive kernel bandwidth.
     """
 
     batch_size: int = 128
@@ -207,11 +208,12 @@ class TrainConfig:
             if term in seen:
                 raise ValidationError(f"duplicate loss term {term!r}")
             seen.add(term)
+        generator = isinstance(self.fake_sampler, GeneratorSettings)
         if "ss" not in seen:
             raise ValidationError("the ss term is the anchor and must stay enabled")
         if "tu" in seen and self.batch_size < 2:
             raise ValidationError("tu needs batch_size >= 2")
-        if "sa" in seen and isinstance(self.fake_sampler, GeneratorSettings):
+        if "sa" in seen and generator:
             raise ValidationError(
                 "sa needs the Gaussian fake sampler: the generator only models the target"
             )
@@ -224,13 +226,17 @@ class TrainConfig:
             Priors(self.prior)
         elif self.prior != "estimate_from_source":
             raise ValidationError(f"unknown prior mode {self.prior!r}")
-        if not isinstance(self.fake_sampler, GeneratorSettings) and (
-            self.fake_sampler != "gaussian_input"
-        ):
+        if not generator and self.fake_sampler != "gaussian_input":
             raise ValidationError(f"unknown fake sampler {self.fake_sampler!r}")
         MmdConfig(self.mmd_gamma)
+        if self.mmd_gamma != "median-heuristic" and not generator:
+            raise ValidationError(
+                "a numeric mmd_gamma needs the generator sampler: Gaussian fakes run no MMD"
+            )
         if any(h < 1 for h in self.hidden_dims):
             raise ValidationError("hidden dims must be positive")
+        if generator and not self.hidden_dims:
+            raise ValidationError("classifier needs a hidden layer to expose an embedding")
         if self.warmup_epochs < 0:
             raise ValidationError("warmup_epochs must be >= 0")
         if self.ramp_epochs < 0:
@@ -348,17 +354,15 @@ def generator_step(
     cfg: TrainConfig,
     optimizer,
     rng: Rng,
-) -> tuple[ModelParams, float]:
-    """One optimizer step on the generator parameters; returns the loss."""
-    if not isinstance(cfg.fake_sampler, GeneratorSettings):
-        raise ValidationError("generator_step requires the generator fake sampler")
+) -> float:
+    """One optimizer step on gen's parameters, in place; returns the loss."""
     n_f = np.asarray(target_batch).shape[0]
     noise = rng.normal(n_f * gen.input_dim).reshape(n_f, gen.input_dim)
     value, grads = generator_loss(gen, clf, noise, target_batch, MmdConfig(cfg.mmd_gamma))
     w = cfg.weight("gen")
     if w != 0.0:
         optimizer.step(gen.flat, w * grads.flat)
-    return gen, value
+    return value
 
 
 def validate_inputs(
@@ -503,10 +507,9 @@ def train(
                 sums[name] += value
                 step_total += w * value
                 if name == "ta" and gen is not None:
-                    _, gen_value = generator_step(
+                    sums["gen"] += generator_step(
                         gen, params, tgt_x, cfg, gen_optimizer, gen_noise
                     )
-                    sums["gen"] += gen_value
 
             optimizer.step(params.flat, grad)
             total_sum += step_total

@@ -449,6 +449,23 @@ class TestEval:
         assert printed == on_disk
         assert 0.0 <= printed["accuracy"] <= 1.0
 
+    def test_out_in_a_missing_directory_exits_1_naming_it_and_prints_nothing(
+        self, tmp_path, capsys
+    ):
+        from contradist.model import init_params, save_checkpoint
+
+        data_dir = gen(tmp_path)
+        save_checkpoint(init_params([2, 4, 2], 0), tmp_path / "model.ckpt")
+        out = tmp_path / "nodir" / "m.json"
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                "--data", str(data_dir / "d1_test.csv"), "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert captured.out == ""
+        assert not out.parent.exists()
+
     def test_unlabeled_dataset_exits_1(self, tmp_path, capsys):
         data_dir = gen(tmp_path)
         _, out_dir = fast_train(tmp_path, data_dir)
@@ -832,6 +849,10 @@ NO_SUCH_FILE = "No such file or directory"
         (None, [*CONTOUR, "--bounds=-1,1,-1,1", "--data", "{cfg}"],
          "argument --data: not allowed with argument --bounds"),
         (None, CONTOUR, "one of the arguments --bounds --data is required"),
+        ({**TRAIN_PATHS, "train": {"hidden_dims": [], "fake_sampler": {}}}, TRAIN,
+         "classifier needs a hidden layer to expose an embedding"),
+        (TRAIN_PATHS, [*TRAIN, "--mmd-gamma", "0.5"],
+         "a numeric mmd_gamma needs the generator sampler"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -849,7 +870,7 @@ NO_SUCH_FILE = "No such file or directory"
         "train-target-is-source", "train-repeated-source", "train-config-missing",
         "gen-data-config-missing", "eval-checkpoint-missing", "eval-data-missing",
         "contour-checkpoint-missing", "contour-data-missing", "contour-bounds-and-data",
-        "contour-no-frame",
+        "contour-no-frame", "generator-no-hidden-layer", "mmd-gamma-gaussian-sampler",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):

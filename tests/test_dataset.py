@@ -69,6 +69,8 @@ class TestBlobSpec:
             ({"offset": [0, False]}, "expected a number, got False"),
             ({"classes": [{"center": [True, 0], "std": 1}] * 2}, "expected a number, got True"),
             ({"classes": [{"center": [0, 0], "std": True}] * 2}, "expected a number, got True"),
+            ({"classes": [{"center": [0, 0, 9], "std": 1}] * 2}, "center must be a 2-vector"),
+            ({"classes": [{"center": [0], "std": 1}] * 2}, "center must be a 2-vector"),
         ],
     )
     def test_from_dict_rejects(self, change, message):

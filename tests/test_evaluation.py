@@ -177,7 +177,7 @@ class TestContourGrid:
     def test_csv_exact_bytes(self, tmp_path):
         points = np.array([[-1.0, 0.0], [0.5, 0.0], [-1.0, 2.0], [0.5, 2.0]])
         probs = np.array([[0.25, 0.75], [1 / 3, 2 / 3], [0.9999999999999999, 1e-16], [0.5, 0.5]])
-        grid = ContourGrid(-1.0, 0.5, 0.0, 2.0, 2, points, probs, np.array([1, 1, 0, 0]))
+        grid = ContourGrid(points, probs, np.array([1, 1, 0, 0]))
         path = tmp_path / "contour.csv"
         save_contour_csv(grid, path)
         assert path.read_bytes() == (

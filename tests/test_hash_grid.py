@@ -3,8 +3,9 @@
 `tools/hash_grid.py` trains every cell of a fixed-seed grid and prints the
 SHA-256 of its parameters and history; `hash_grid_golden.txt` is that output,
 committed with the build line it was made on.  A fresh run must reproduce it
-line for line.  On another NumPy/BLAS build the bits may legitimately differ,
-so the test skips and names both builds; it never rewrites the golden file.
+line for line.  On another NumPy/BLAS build or OpenBLAS kernel the bits may
+legitimately differ, so the test skips and names both builds; it never
+rewrites the golden file.
 """
 
 import importlib.util

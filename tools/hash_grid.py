@@ -1,11 +1,12 @@
 """Print fixed-seed result hashes for the 96-cell training grid.
 
-The first line is ``# `` and the NumPy/BLAS build and machine that ran the
-grid.  Each further line is one cell: its id, the SHA-256 of the trained
-parameters (each layer's W then b as little-endian float64 bytes) and the
-SHA-256 of the history (one ``json.dumps(record, sort_keys=True)`` line per
-epoch).  The configs are built from ``train`` config-file dicts, so two
-checkouts whose file schema agrees can be compared with ``diff``:
+The first line is ``# `` and the NumPy/BLAS build, OpenBLAS kernel and
+machine that ran the grid.  Each further line is one cell: its id, the
+SHA-256 of the trained parameters (each layer's W then b as little-endian
+float64 bytes) and the SHA-256 of the history (one
+``json.dumps(record, sort_keys=True)`` line per epoch).  The configs are
+built from ``train`` config-file dicts, so two checkouts whose file schema
+agrees can be compared with ``diff``:
 
     PYTHONPATH=src python tools/hash_grid.py > a.txt
 
@@ -32,6 +33,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from contradist.blas import core_name
 from contradist.dataset import BlobSpec, make_blobs
 from contradist.trainer import train, train_config_from_dict
 
@@ -64,11 +66,15 @@ def cells():
 
 
 def build() -> str:
-    """The NumPy version, BLAS name and version, and machine, as one line."""
+    """The NumPy version, BLAS name, version and kernel, and machine, as one line.
+
+    The kernel is the one OpenBLAS picked for this CPU (OPENBLAS_CORETYPE
+    overrides it); the same wheel gives other bits under another kernel.
+    """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (
         f"numpy {np.__version__}; blas {blas['name']} {blas['version']}; "
-        f"{platform.machine()}"
+        f"kernel {core_name()}; {platform.machine()}"
     )
 
 
