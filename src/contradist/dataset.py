@@ -63,18 +63,24 @@ class BlobSpec:
             for c in obj["classes"]:
                 check_keys(c, ("center", "std"), "blob class")
             classes = tuple(
-                (tuple(as_float(v) for v in c["center"]), as_float(c["std"]))
-                for c in obj["classes"]
+                (_coords(c["center"], "center"), as_float(c["std"])) for c in obj["classes"]
             )
             return BlobSpec(
                 classes=classes,
                 samples_per_class=as_int(obj["samples_per_class"]),
                 rotation_deg=as_float(obj.get("rotation_deg", 0.0)),
-                offset=tuple(as_float(v) for v in obj.get("offset", (0, 0))),
+                offset=_coords(obj.get("offset", [0, 0]), "offset"),
                 seed=as_int(obj.get("seed", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed blob spec: {exc}") from exc
+
+
+def _coords(value, name: str) -> tuple[float, ...]:
+    """Coordinates from a config list; a string would split into characters."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(as_float(v) for v in value)
 
 
 @dataclass

@@ -35,11 +35,10 @@ class LossValue:
 
 @dataclass
 class MmdLossValue:
-    """Squared kernel mean discrepancy with gradients for both sample sets."""
+    """Squared kernel mean discrepancy with its gradient for the first set."""
 
     value: float
     d_emb_a: np.ndarray
-    d_emb_b: np.ndarray
     gamma: float
 
 
@@ -177,7 +176,7 @@ def _sq_dists(x: np.ndarray, sq_x: np.ndarray, y: np.ndarray, sq_y: np.ndarray) 
     d2 *= -2.0
     d2 += norms  # ||x_i||^2 + ||y_j||^2 - 2 x_i . y_j
     norms *= 1e-12
-    d2[d2 <= norms] = 0.0
+    np.putmask(d2, d2 <= norms, 0.0)
     return d2
 
 
@@ -206,14 +205,18 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossV
     diagonal, so identical multisets give zero up to rounding.  The a-a,
     b-b and a-b squared-distance blocks are built separately, each from its
     own Gram product, and exponentiated in place; the value is their three
-    means and the gradients come from products with those blocks.  There
+    means and the gradient comes from products with those blocks.  There
     is no (n, m, d) difference tensor and no stacked (n_a + n_b)^2 matrix:
     that matrix computed the a-b block twice, and paging in its 512 KB
     buffers (at 128 + 128 rows) took up to 224 minor faults per call.
     Median-heuristic gamma = 1 / (2 * median of the squared cross
     distances), the median taken from the a-b block with one partition
     pivot; it is fixed once per call and treated as a constant by the
-    gradients.  Non-finite embeddings raise ValidationError.
+    gradient.  Non-finite embeddings raise ValidationError.
+
+    Only emb_a's gradient is computed; the trainer reads no other.  MMD^2
+    and the median-heuristic gamma are symmetric in the two sets, so the
+    gradient for emb_b is kernel_mmd(emb_b, emb_a, cfg).d_emb_a.
     """
     emb_a = np.asarray(emb_a, dtype=np.float64)
     emb_b = np.asarray(emb_b, dtype=np.float64)
@@ -252,12 +255,7 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossV
         - (k_aa @ emb_a) / n_a
         + (k_ab @ emb_b) / n_b
     )
-    d_emb_b = (-4.0 * gamma / n_b) * (
-        (k_bb.sum(axis=1) / n_b - k_ab.sum(axis=0) / n_a)[:, None] * emb_b
-        - (k_bb @ emb_b) / n_b
-        + (k_ab.T @ emb_a) / n_a
-    )
-    return MmdLossValue(value, d_emb_a, d_emb_b, gamma)
+    return MmdLossValue(value, d_emb_a, gamma)
 
 
 def multi_source_supervised(per_source_losses: Sequence[LossValue]) -> LossValue:

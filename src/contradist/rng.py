@@ -46,14 +46,16 @@ class Rng:
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        z = self._seed + idx * np.uint64(_GOLDEN)
+        z *= np.uint64(_GOLDEN)
+        z += self._seed
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)
         z *= np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(31)
+        return z
 
     def next_u64(self) -> int:
         """One raw 64-bit draw, e.g. to seed a child stream."""
@@ -64,12 +66,15 @@ class Rng:
         return (self._raw(n) >> np.uint64(11)).astype(np.float64) * _U53_SCALE
 
     def normal(self, n: int) -> np.ndarray:
-        """n standard normal draws via Box-Muller."""
+        """n standard normal draws via Box-Muller.
+
+        One block of 2m uniforms, m = ceil(n / 2): the first m are u1, the
+        next m are u2.
+        """
         m = (n + 1) // 2
-        u1 = 1.0 - self.uniform(m)  # (0, 1]: keeps the log finite
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        u = self.uniform(2 * m)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:m]))  # 1 - u1 in (0, 1]: a finite log
+        theta = 2.0 * np.pi * u[m:]
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
         return z[:n]
 

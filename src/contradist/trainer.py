@@ -23,6 +23,10 @@ order ss, tu, su, ta, sa, and that order is fixed: it is the float summation
 order of the gradients, so reordering would change trained parameters.  The
 generator step runs right after ta, which keeps the draws from its noise
 stream in order.
+
+Each step runs the classifier over the target batch once, and only when tu
+or the generator step needs it: tu's contradistinguish loss reads that
+trace, and the generator matches its last hidden activation.
 """
 
 from __future__ import annotations
@@ -324,23 +328,24 @@ def generator_loss(
     gen: ModelParams,
     clf: ModelParams,
     noise: np.ndarray,
-    target_batch: np.ndarray,
+    real_emb: np.ndarray,
     mmd_cfg: MmdConfig,
 ) -> tuple[float, Gradients]:
     """Embedding-matching loss for the generator and its parameter gradients.
 
-    Fakes G(noise) and the real target batch each take one pass through the
-    classifier's hidden layers, whose last ReLU output is the embedding;
-    the kernel two-sample loss between the two embedding sets is
-    backpropagated through the fakes' activations of that same pass and
-    then through the generator, so only generator parameters get gradients.
+    real_emb is the real target batch's embedding: the last hidden ReLU
+    output of the classifier, ``hidden_pass(clf, batch)[1][-1]``, which
+    train() takes from the trace it already computed for the batch.  Fakes
+    G(noise) take one pass through the classifier's hidden layers; the
+    kernel two-sample loss between the two embedding sets is backpropagated
+    through the fakes' activations of that pass and then through the
+    generator, so only generator parameters get gradients.
     """
     if len(clf.layer_dims) < 3:
         raise ValidationError("classifier needs a hidden layer to expose an embedding")
     gen_trace = forward(gen, noise)
     _, acts_fake = hidden_pass(clf, gen_trace.logits)
-    _, acts_real = hidden_pass(clf, target_batch)
-    mmd = kernel_mmd(acts_fake[-1], acts_real[-1], mmd_cfg)
+    mmd = kernel_mmd(acts_fake[-1], real_emb, mmd_cfg)
     d_fakes = mmd.d_emb_a
     for l in range(len(acts_fake) - 1, -1, -1):
         d_fakes = (d_fakes * (acts_fake[l] > 0.0)) @ clf.weights[l].T
@@ -350,15 +355,19 @@ def generator_loss(
 def generator_step(
     gen: ModelParams,
     clf: ModelParams,
-    target_batch: np.ndarray,
+    real_emb: np.ndarray,
     cfg: TrainConfig,
     optimizer,
     rng: Rng,
 ) -> float:
-    """One optimizer step on gen's parameters, in place; returns the loss."""
-    n_f = np.asarray(target_batch).shape[0]
+    """One optimizer step on gen's parameters, in place; returns the loss.
+
+    real_emb is the real target batch's embedding, as generator_loss takes
+    it; one fake is drawn per real row.
+    """
+    n_f = np.asarray(real_emb).shape[0]
     noise = rng.normal(n_f * gen.input_dim).reshape(n_f, gen.input_dim)
-    value, grads = generator_loss(gen, clf, noise, target_batch, MmdConfig(cfg.mmd_gamma))
+    value, grads = generator_loss(gen, clf, noise, real_emb, MmdConfig(cfg.mmd_gamma))
     w = cfg.weight("gen")
     if w != 0.0:
         optimizer.step(gen.flat, w * grads.flat)
@@ -447,30 +456,35 @@ def train(
         trace = forward(params, fakes)
         return trace, adv_multilabel_loss(trace)
 
-    # (term, epoch its ramp starts after or None, (src, tgt_x) -> [(trace, loss)])
-    # where src holds one (features, labels, trace) per source batch.  The row
-    # order is the gradient summation order; see the module docstring.
+    # (term, epoch its ramp starts after or None,
+    #  (src, tgt_x, tgt) -> [(trace, loss)]) where src holds one
+    # (features, labels, trace) per source batch and tgt is the target
+    # batch's trace.  The row order is the gradient summation order; see the
+    # module docstring.
     unsup, adv = cfg.warmup_epochs, cfg.warmup_epochs + cfg.ramp_epochs
     table = [
-        ("ss", None, lambda src, tgt_x: [(t, ce_loss(t, y)) for _, y, t in src]),
-        ("tu", unsup, lambda src, tgt_x: [contradist(forward(params, tgt_x), prior_t)]),
-        ("su", unsup, lambda src, tgt_x: [
+        ("ss", None, lambda src, tgt_x, tgt: [(t, ce_loss(t, y)) for _, y, t in src]),
+        ("tu", unsup, lambda src, tgt_x, tgt: [contradist(tgt, prior_t)]),
+        ("su", unsup, lambda src, tgt_x, tgt: [
             contradist(t, prior) for (_, _, t), prior in zip(src, source_priors)
         ]),
-        ("ta", adv, lambda src, tgt_x: [adversarial(target_fakes(tgt_x))]),
-        ("sa", adv, lambda src, tgt_x: [
+        ("ta", adv, lambda src, tgt_x, tgt: [adversarial(target_fakes(tgt_x))]),
+        ("sa", adv, lambda src, tgt_x, tgt: [
             adversarial(sample_fake_gaussian(x, cfg.batch_size, fake_seeds_sa.next_u64()))
             for x, _, _ in src
         ]),
     ]
     table = [row for row in table if row[0] in terms]
+    generator_steps = gen is not None and "ta" in terms
+    # tu and the generator step both read the target batch's trace
+    need_target_trace = "tu" in terms or generator_steps
 
     grad = np.zeros_like(params.flat)
     pooled_x = np.vstack([s.features for s in sources])
     pooled_y = np.concatenate([s.labels for s in sources])
     n_batch = -(-max(max(s.n for s in sources), target.n) // cfg.batch_size)
     loss_keys = [t for t in TERMS if t in terms]
-    if gen is not None and "ta" in terms:
+    if generator_steps:
         loss_keys.append("gen")
 
     def ramp(epoch: int, start: int | None) -> float:
@@ -495,12 +509,13 @@ def train(
                 x = s.features[idx]
                 src.append((x, s.labels[idx], forward(params, x)))
             tgt_x = target.features[tgt_stream.next()]
+            tgt = forward(params, tgt_x) if need_target_trace else None
 
             step_total = 0.0
             for name, _, pairs in table:
                 w = weights[name]
                 value = 0.0
-                for trace, lv in pairs(src, tgt_x):
+                for trace, lv in pairs(src, tgt_x, tgt):
                     value += lv.value
                     if w != 0.0:
                         grad += w * backward(params, trace, lv.dlogits).flat
@@ -508,7 +523,7 @@ def train(
                 step_total += w * value
                 if name == "ta" and gen is not None:
                     sums["gen"] += generator_step(
-                        gen, params, tgt_x, cfg, gen_optimizer, gen_noise
+                        gen, params, tgt.activations[-1], cfg, gen_optimizer, gen_noise
                     )
 
             optimizer.step(params.flat, grad)

@@ -9,7 +9,7 @@ from contradist.cli import main
 from contradist.dataset import BlobSpec, make_blobs, save_csv
 from contradist.errors import NumericError, ValidationError
 from contradist.losses import MmdConfig
-from contradist.model import backward, forward, init_params, save_checkpoint
+from contradist.model import backward, forward, hidden_pass, init_params, save_checkpoint
 from contradist.trainer import GeneratorSettings, TrainConfig, generator_loss
 
 
@@ -89,8 +89,8 @@ def test_generator_loss_is_bit_equal_with_and_without_the_cap():
     noise = rng.normal(size=(128, 8))
     batch = rng.normal(size=(128, 2))
     with blas.one_thread():
-        v1, g1 = generator_loss(gen, clf, noise, batch, MmdConfig())
-    v2, g2 = generator_loss(gen, clf, noise, batch, MmdConfig())
+        v1, g1 = generator_loss(gen, clf, noise, hidden_pass(clf, batch)[1][-1], MmdConfig())
+    v2, g2 = generator_loss(gen, clf, noise, hidden_pass(clf, batch)[1][-1], MmdConfig())
     assert v1 == v2
     for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
         assert np.array_equal(a, b)
@@ -179,12 +179,24 @@ def test_cli_network_passes_all_run_on_one_thread(threads, monkeypatch, tmp_path
     assert seen == {"contradist.evaluation": {1}, "contradist.trainer": {1}}
 
 
+# OpenBLAS kernels on which the two-thread 8,100-row forward below was
+# measured bit-equal to the one-thread one (scipy-openblas 0.3.31, x86_64).
+# On Haswell it differs in 2 rows by 5.6e-17.
+CONTOUR_BIT_EQUAL_KERNELS = ("SkylakeX", "Sandybridge")
+
+
 def test_capped_contour_grid_is_bit_equal_to_a_two_thread_forward(threads):
     # 64-wide hidden layers over 8100 grid points: past OpenBLAS's threading
     # threshold, so the uncapped forward may split its products over two
     # threads.  The grid is one chunk: the last bit of an OpenBLAS product
     # can depend on its row count, so a chunked pass may differ from a
     # one-shot pass.
+    kernel = blas.core_name()
+    if kernel not in CONTOUR_BIT_EQUAL_KERNELS:
+        pytest.skip(
+            f"bit equality was measured on {', '.join(CONTOUR_BIT_EQUAL_KERNELS)}; "
+            f"this OpenBLAS kernel is {kernel}"
+        )
     params = init_params((2, 64, 64, 3), 7)
     grid = evaluation.contour_grid(params, (-3.0, 3.0, -2.0, 2.0), 90)
     assert threads() == 2

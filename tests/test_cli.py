@@ -188,6 +188,25 @@ class TestGenData:
             "c_test.csv", "c_train.csv",
         ]
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"classes": [{"center": "12", "std": 0.3}] * 2}, {"offset": "05"}],
+        ids=["center", "offset"],
+    )
+    def test_string_coordinates_exit_1_with_one_error_line(self, tmp_path, capsys, change):
+        spec = {
+            "classes": [{"center": [-1, 0], "std": 0.3}, {"center": [1, 0], "std": 0.3}],
+            "samples_per_class": 10,
+            **change,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"domains": {"a": spec, "b": spec}}))
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "must be a list" in err[0]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, tmp_path):

@@ -71,6 +71,10 @@ class TestBlobSpec:
             ({"classes": [{"center": [0, 0], "std": True}] * 2}, "expected a number, got True"),
             ({"classes": [{"center": [0, 0, 9], "std": 1}] * 2}, "center must be a 2-vector"),
             ({"classes": [{"center": [0], "std": 1}] * 2}, "center must be a 2-vector"),
+            ({"classes": [{"center": "12", "std": 1}] * 2}, "center must be a list of numbers"),
+            ({"classes": [{"center": 3, "std": 1}] * 2}, "center must be a list of numbers"),
+            ({"offset": "05"}, "offset must be a list of numbers, got '05'"),
+            ({"offset": {"x": 0, "y": 5}}, "offset must be a list of numbers"),
         ],
     )
     def test_from_dict_rejects(self, change, message):

@@ -52,6 +52,28 @@ def test_normal_odd_length():
     assert Rng(5).normal(7).shape == (7,)
 
 
+def two_block_box_muller(rng, n):
+    """Box-Muller from two separate uniform draws: u1 first, then u2."""
+    m = (n + 1) // 2
+    u1 = 1.0 - rng.uniform(m)
+    u2 = rng.uniform(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 1024, 1025])
+def test_normal_equals_two_block_box_muller_bit_for_bit(n):
+    got, want = Rng(21), Rng(21)
+    for rng in (got, want):  # other draws first, so the stream is mid-way
+        rng.uniform(3)
+        rng.permutation(5)
+        rng.next_u64()
+    assert got.normal(n).tobytes() == two_block_box_muller(want, n).tobytes()
+    assert got.normal(n).tobytes() == two_block_box_muller(want, n).tobytes()
+    assert got.next_u64() == want.next_u64()
+
+
 def test_permutation_is_permutation():
     p = Rng(9).permutation(500)
     assert np.array_equal(np.sort(p), np.arange(500))

@@ -6,10 +6,11 @@ from dataclasses import FrozenInstanceError, asdict, replace
 import numpy as np
 import pytest
 
+from contradist import model, trainer
 from contradist.dataset import BlobSpec, DomainDataset, make_blobs, split
 from contradist.errors import ValidationError
 from contradist.losses import MmdConfig, kernel_mmd
-from contradist.model import ModelParams, backward, forward, init_params
+from contradist.model import ModelParams, backward, forward, hidden_pass, init_params
 from contradist.rng import Rng
 from contradist.trainer import (
     Adam,
@@ -306,6 +307,30 @@ class TestTrain:
         assert "gen" in history.records[-1].losses
         assert np.isfinite(history.records[-1].losses["gen"])
 
+    @pytest.mark.parametrize("terms", [("ss", "tu", "ta"), ("ss", "ta"), ("ss", "tu")])
+    def test_one_classifier_pass_per_target_batch_per_step(self, monkeypatch, terms):
+        # tu and the generator step share one hidden pass over the target batch
+        src, tgt = toy_domains()
+        cfg = quick_cfg(
+            epochs=2,
+            terms=terms,
+            fake_sampler=GeneratorSettings(noise_dim=4, hidden_dims=(16,), lr=1e-3),
+        )
+        target_rows = {row.tobytes() for row in tgt.features}
+        passes = []
+        original = model.hidden_pass
+
+        def counting(params, x):
+            if all(row.tobytes() in target_rows for row in np.asarray(x)):
+                passes.append(params.layer_dims)
+            return original(params, x)
+
+        monkeypatch.setattr(model, "hidden_pass", counting)
+        monkeypatch.setattr(trainer, "hidden_pass", counting)
+        train(cfg, [src], tgt.without_labels())
+        steps = cfg.epochs * -(-max(src.n, tgt.n) // cfg.batch_size)
+        assert passes == [(2, 16, 2)] * steps
+
 
 class TestGeneratorStep:
     def setup_method(self):
@@ -318,7 +343,8 @@ class TestGeneratorStep:
         for params in (self.gen, self.clf):
             for b in params.biases:
                 b += rng.normal(scale=0.1, size=b.shape)
-        self.batch = np.random.default_rng(2).normal(size=(8, 2))
+        batch = np.random.default_rng(2).normal(size=(8, 2))
+        self.real_emb = hidden_pass(self.clf, batch)[1][-1]
         self.cfg = TrainConfig(
             fake_sampler=GeneratorSettings(noise_dim=2, hidden_dims=(4,), lr=1e-2),
             mmd_gamma=0.5,
@@ -326,7 +352,7 @@ class TestGeneratorStep:
 
     def test_zero_lr_leaves_generator_unchanged(self):
         before = self.gen.copy()
-        generator_step(self.gen, self.clf, self.batch, self.cfg, Adam(lr=0.0), Rng(3))
+        generator_step(self.gen, self.clf, self.real_emb, self.cfg, Adam(lr=0.0), Rng(3))
         assert params_equal(self.gen, before)
 
     def test_loss_decreases_over_200_steps(self):
@@ -335,7 +361,7 @@ class TestGeneratorStep:
         first = None
         last = None
         for _ in range(200):
-            value = generator_step(self.gen, self.clf, self.batch, self.cfg, opt, rng)
+            value = generator_step(self.gen, self.clf, self.real_emb, self.cfg, opt, rng)
             if first is None:
                 first = value
             last = value
@@ -352,7 +378,7 @@ class TestGeneratorStep:
             noise = rng.normal(size=(9, 3))
             batch = rng.normal(size=(7, 4))
             cfg = MmdConfig()
-            value, grads = generator_loss(gen, clf, noise, batch, cfg)
+            value, grads = generator_loss(gen, clf, noise, hidden_pass(clf, batch)[1][-1], cfg)
 
             # full forwards, then an encoder network whose output layer is
             # the last hidden layer's affine map, backpropagated explicitly
@@ -381,11 +407,11 @@ class TestGeneratorStep:
         clf = init_params((2, 3), 1)
         noise = np.zeros((4, 2))
         with pytest.raises(ValidationError, match="needs a hidden layer"):
-            generator_loss(self.gen, clf, noise, self.batch, MmdConfig(gamma=0.5))
+            generator_loss(self.gen, clf, noise, self.real_emb, MmdConfig(gamma=0.5))
 
     def test_gradient_matches_finite_differences(self):
         noise = np.random.default_rng(5).normal(size=(6, 2))
-        value, grads = generator_loss(self.gen, self.clf, noise, self.batch, MmdConfig(gamma=0.5))
+        value, grads = generator_loss(self.gen, self.clf, noise, self.real_emb, MmdConfig(gamma=0.5))
 
         for l in range(len(self.gen.weights)):
             for arrays, analytic in (
@@ -396,7 +422,7 @@ class TestGeneratorStep:
                     saved = arrays[l].copy()
                     arrays[l][:] = values
                     out = generator_loss(
-                        self.gen, self.clf, noise, self.batch, MmdConfig(gamma=0.5)
+                        self.gen, self.clf, noise, self.real_emb, MmdConfig(gamma=0.5)
                     )[0]
                     arrays[l][:] = saved
                     return out
