@@ -125,30 +125,26 @@ def contradistinguish_loss(
     The first term pulls sample j toward its selected class, the third
     pushes the same class away on every other sample, and the middle term
     is constant in the parameters: it contributes to the value but not to
-    the gradient.  The third term is evaluated as a log-sum-exp over the
-    per-sample log-probabilities.
+    the gradient.  The third term's inner sum depends on j only through
+    y_j, so it is one log-sum-exp per class, lse[c] = log sum_l p(c|x_l),
+    and the loss costs O(n K) rather than O(n^2).
     """
     n, k = trace.logits.shape
     labels = _check_labels(pseudo.labels, n, k)
     logp = trace.log_probs
     rows = np.arange(n)
 
-    own = logp[rows, labels]  # log p(y_j | x_j)
-    # lse[j] = log sum_l exp(log p(y_j | x_l)): column y_j across the batch
-    cols = logp[:, labels]  # (l, j) -> log p(y_j | x_l)
-    col_max = cols.max(axis=0)
-    lse = col_max + np.log(np.exp(cols - col_max).sum(axis=0))
+    col_max = logp.max(axis=0)
+    lse = col_max + np.log(np.exp(logp - col_max).sum(axis=0))
     prior_term = np.log(np.maximum(priors.probs[labels], _LOG_CLAMP))
-    value = -float((own.sum() + prior_term.sum() - lse.sum()) / n)
+    value = -float((logp[rows, labels].sum() + prior_term.sum() - lse[labels].sum()) / n)
 
-    # q[j, l] = p(y_j | x_l) / sum_l' p(y_j | x_l'), the third term's softmax
-    q = np.exp(cols - lse).T
+    # r[m, c] = (number of j with y_j = c) * p(c|x_m) / sum_l p(c|x_l): how
+    # much the third term's softmax over the batch puts on sample m for c
+    r = np.bincount(labels, minlength=k) * np.exp(logp - lse)
     onehot = np.zeros((n, k))
     onehot[rows, labels] = 1.0
-    col_weight = q.sum(axis=0)  # s_m = sum_j q[j, m]
-    dlogits = (
-        trace.probs - onehot + q.T @ onehot - col_weight[:, None] * trace.probs
-    ) / n
+    dlogits = (trace.probs - onehot + r - r.sum(axis=1, keepdims=True) * trace.probs) / n
     return LossValue(value, dlogits)
 
 

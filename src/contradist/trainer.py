@@ -456,10 +456,9 @@ def train(
         trace = forward(params, fakes)
         return trace, adv_multilabel_loss(trace)
 
-    # (term, epoch its ramp starts after or None,
-    #  (src, tgt_x, tgt) -> [(trace, loss)]) where src holds one
-    # (features, labels, trace) per source batch and tgt is the target
-    # batch's trace.  The row order is the gradient summation order; see the
+    # (term, epoch its ramp starts after or None, (src, tgt_x, tgt) -> [(trace, loss)])
+    # where src holds one (features, labels, trace) per source batch and tgt is the
+    # target batch's trace.  The row order is the gradient summation order; see the
     # module docstring.
     unsup, adv = cfg.warmup_epochs, cfg.warmup_epochs + cfg.ramp_epochs
     table = [
@@ -476,7 +475,6 @@ def train(
     ]
     table = [row for row in table if row[0] in terms]
     generator_steps = gen is not None and "ta" in terms
-    # tu and the generator step both read the target batch's trace
     need_target_trace = "tu" in terms or generator_steps
 
     grad = np.zeros_like(params.flat)

@@ -12,6 +12,7 @@ from contradist.errors import NumericError, ShapeError, ValidationError
 from contradist.losses import (
     LossValue,
     MmdConfig,
+    PseudoLabels,
     _median,
     adv_multilabel_loss,
     ce_loss,
@@ -20,7 +21,7 @@ from contradist.losses import (
     multi_source_supervised,
     pseudo_label_select,
 )
-from helpers import fd_gradient, max_rel_err, trace_from_logits
+from helpers import contradistinguish_nxn, fd_gradient, max_rel_err, trace_from_logits
 
 uniform2 = Priors(np.array([0.5, 0.5]))
 
@@ -216,6 +217,20 @@ class TestContradistinguishLoss:
         )
         assert max_rel_err(lv.dlogits, numeric) <= 1e-4
 
+    @pytest.mark.parametrize("absent", [False, True], ids=["drawn", "last-class-absent"])
+    @pytest.mark.parametrize("n", [1, 2, 32, 128, 256])
+    @pytest.mark.parametrize("k", [2, 4, 10, 31])
+    def test_matches_the_n_by_n_form(self, k, n, absent):
+        rng = np.random.default_rng(1000 * k + n)
+        trace = trace_from_logits(rng.normal(size=(n, k)) * 3.0)
+        prior = rng.uniform(0.2, 1.0, size=k)
+        prior = Priors(prior / prior.sum())
+        labels = rng.integers(0, k - 1 if absent else k, size=n)
+        lv = contradistinguish_loss(trace, PseudoLabels(labels, trace.probs), prior)
+        value, dlogits = contradistinguish_nxn(trace, labels, prior.probs)
+        assert abs(lv.value - value) <= 1e-12 * abs(value)
+        assert np.abs(lv.dlogits - dlogits).max() <= 1e-12 * np.abs(dlogits).max()
+
     def test_pseudo_length_mismatch_raises(self):
         trace = trace_from_logits(np.zeros((3, 2)))
         pseudo = pseudo_label_select(np.full((2, 2), 0.5), uniform2)
@@ -325,11 +340,12 @@ class TestKernelMmd:
         manual = kernel_mmd(a, b, MmdConfig(gamma=auto.gamma))
         assert auto.value == manual.value
         assert np.array_equal(auto.d_emb_a, manual.d_emb_a)
-        assert np.array_equal(
-            kernel_mmd(b, a, MmdConfig()).d_emb_a,
-            kernel_mmd(b, a, MmdConfig(gamma=auto.gamma)).d_emb_a,
-        )
+        # the second set's gradient, from the swapped call and its own gamma
+        swapped = kernel_mmd(b, a, MmdConfig())
+        manual_b = kernel_mmd(b, a, MmdConfig(gamma=swapped.gamma))
+        assert np.array_equal(swapped.d_emb_a, manual_b.d_emb_a)
         assert auto.gamma == pytest.approx(gamma)
+        assert swapped.gamma == pytest.approx(gamma)
 
     def test_zero_median_distance_raises(self):
         a = np.array([[1.0, 1.0]])
