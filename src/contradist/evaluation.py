@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -91,14 +92,16 @@ def contour_grid(
     if params.input_dim != 2:
         raise ValidationError("contour export needs a model with 2-D input")
     x_min, x_max, y_min, y_max = (float(v) for v in bounds)
+    if not all(map(math.isfinite, (x_min, x_max, y_min, y_max, x_max - x_min, y_max - y_min))):
+        raise ValidationError("bounds and their spans x_max - x_min, y_max - y_min must be finite")
     if not (x_min < x_max and y_min < y_max):
         raise ValidationError("bounds must satisfy x_min < x_max and y_min < y_max")
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValidationError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
-    xs = np.linspace(x_min, x_max, resolution)
-    ys = np.linspace(y_min, y_max, resolution)
-    xx, yy = np.meshgrid(xs, ys)  # y varies along rows, x along columns
-    points = np.column_stack([xx.ravel(), yy.ravel()])
+    points = np.empty((resolution, resolution, 2))  # y varies along rows, x along columns
+    points[:, :, 0] = np.linspace(x_min, x_max, resolution)
+    points[:, :, 1] = np.linspace(y_min, y_max, resolution)[:, None]
+    points = points.reshape(-1, 2)
     probs = np.empty((len(points), params.num_classes))
     for i in range(0, len(points), CHUNK_ROWS):
         probs[i : i + CHUNK_ROWS] = forward(params, points[i : i + CHUNK_ROWS]).probs

@@ -84,7 +84,8 @@ def ce_loss(trace: ForwardTrace, labels: np.ndarray) -> LossValue:
     value = -float(trace.log_probs[rows, labels].mean())
     dlogits = trace.probs.copy()
     dlogits[rows, labels] -= 1.0
-    return LossValue(value, dlogits / n)
+    dlogits /= n
+    return LossValue(value, dlogits)
 
 
 def pseudo_label_select(probs: np.ndarray, priors: Priors) -> PseudoLabels:
@@ -135,16 +136,21 @@ def contradistinguish_loss(
     rows = np.arange(n)
 
     col_max = logp.max(axis=0)
-    lse = col_max + np.log(np.exp(logp - col_max).sum(axis=0))
+    r = logp - col_max
+    lse = col_max + np.log(np.exp(r, out=r).sum(axis=0))
     prior_term = np.log(np.maximum(priors.probs[labels], _LOG_CLAMP))
     value = -float((logp[rows, labels].sum() + prior_term.sum() - lse[labels].sum()) / n)
 
     # r[m, c] = (number of j with y_j = c) * p(c|x_m) / sum_l p(c|x_l): how
-    # much the third term's softmax over the batch puts on sample m for c
-    r = np.bincount(labels, minlength=k) * np.exp(logp - lse)
-    onehot = np.zeros((n, k))
-    onehot[rows, labels] = 1.0
-    dlogits = (trace.probs - onehot + r - r.sum(axis=1, keepdims=True) * trace.probs) / n
+    # much the third term's softmax over the batch puts on sample m for c;
+    # dlogits = (probs - onehot + r - r.sum(axis=1) * probs) / n, in that order
+    np.exp(np.subtract(logp, lse, out=r), out=r)
+    r *= np.bincount(labels, minlength=k)
+    dlogits = trace.probs.copy()
+    dlogits[rows, labels] -= 1.0
+    dlogits += r
+    dlogits -= np.multiply(trace.probs, r.sum(axis=1, keepdims=True), out=r)
+    dlogits /= n
     return LossValue(value, dlogits)
 
 
@@ -156,7 +162,9 @@ def adv_multilabel_loss(trace_fake: ForwardTrace) -> LossValue:
     """
     n, k = trace_fake.logits.shape
     value = -float(trace_fake.log_probs.sum() / n)
-    dlogits = (k * trace_fake.probs - 1.0) / n
+    dlogits = trace_fake.probs * k
+    dlogits -= 1.0
+    dlogits /= n
     return LossValue(value, dlogits)
 
 

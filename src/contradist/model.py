@@ -8,6 +8,12 @@ All parameters live in one contiguous float64 vector, ``flat``, in the order
 ``W0, b0, W1, b1, ...`` (weights row-major); ``weights[l]`` and ``biases[l]``
 are reshaped views into it.  Gradients share the layout.
 
+A pass allocates one float array per layer result that it returns or keeps
+(an activation, the logits, log_probs and probs, a backpropagated delta)
+and computes into it in place; backward's boolean ReLU mask is its only
+temporary.  The in-place steps are the elementwise operations of the plain
+expressions, in their order, so the results are the same to the bit.
+
 Checkpoint format: magic ``CDST``, u32 format version, u32 layer-dim count,
 the dims as u32, then ``flat`` as little-endian float64.
 """
@@ -134,7 +140,9 @@ def hidden_pass(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list[np
     a = x
     acts = []
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
         acts.append(a)
     return x, acts
 
@@ -142,10 +150,13 @@ def hidden_pass(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list[np
 def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     """Run the network; softmax is computed with per-row max subtraction."""
     x, acts = hidden_pass(params, x)
-    logits = (acts[-1] if acts else x) @ params.weights[-1] + params.biases[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return ForwardTrace(x, acts, logits, log_probs, np.exp(log_probs))
+    logits = (acts[-1] if acts else x) @ params.weights[-1]
+    logits += params.biases[-1]
+    log_probs = logits - logits.max(axis=1, keepdims=True)  # shifted
+    probs = np.exp(log_probs)
+    log_probs -= np.log(probs.sum(axis=1, keepdims=True))
+    np.exp(log_probs, out=probs)
+    return ForwardTrace(x, acts, logits, log_probs, probs)
 
 
 def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -> Gradients:
@@ -164,7 +175,7 @@ def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -
         delta.sum(axis=0, out=d_biases[l])
         delta = delta @ params.weights[l].T
         if l > 0:
-            delta = delta * (a_prev > 0.0)  # a ReLU output is > 0 where its input is
+            delta *= a_prev > 0.0  # a ReLU output is > 0 where its input is
     return Gradients(flat, d_weights, d_biases, delta)
 
 

@@ -101,21 +101,30 @@ class Adam:
 
     def __init__(self, lr: float):
         self.lr = lr
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
+        self._vectors: list[np.ndarray] | None = None  # m, v and two scratch vectors
         self._t = 0
 
     def step(self, a: np.ndarray, g: np.ndarray) -> None:
-        if self._m is None:
-            self._m, self._v = np.zeros_like(a), np.zeros_like(a)
+        """a -= lr * (m / c1) / (sqrt(v / c2) + eps), computed in the scratch
+        vectors in that expression's order, so no temporary is allocated."""
+        if self._vectors is None:
+            self._vectors = [np.zeros_like(a) for _ in range(4)]
+        m, v, s, u = self._vectors
         self._t += 1
         c1 = 1.0 - self.BETA1**self._t
         c2 = 1.0 - self.BETA2**self._t
-        self._m *= self.BETA1
-        self._m += (1.0 - self.BETA1) * g
-        self._v *= self.BETA2
-        self._v += (1.0 - self.BETA2) * g * g
-        a -= self.lr * (self._m / c1) / (np.sqrt(self._v / c2) + self.EPS)
+        m *= self.BETA1
+        m += np.multiply(g, 1.0 - self.BETA1, out=s)
+        v *= self.BETA2
+        np.multiply(g, 1.0 - self.BETA2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += self.EPS
+        np.divide(m, c1, out=u)
+        u *= self.lr
+        u /= s
+        a -= u
 
 
 class Sgd:
@@ -370,7 +379,8 @@ def generator_step(
     value, grads = generator_loss(gen, clf, noise, real_emb, MmdConfig(cfg.mmd_gamma))
     w = cfg.weight("gen")
     if w != 0.0:
-        optimizer.step(gen.flat, w * grads.flat)
+        grads.flat *= w
+        optimizer.step(gen.flat, grads.flat)
     return value
 
 
@@ -516,7 +526,9 @@ def train(
                 for trace, lv in pairs(src, tgt_x, tgt):
                     value += lv.value
                     if w != 0.0:
-                        grad += w * backward(params, trace, lv.dlogits).flat
+                        g = backward(params, trace, lv.dlogits).flat
+                        g *= w
+                        grad += g
                 sums[name] += value
                 step_total += w * value
                 if name == "ta" and gen is not None:

@@ -1,9 +1,79 @@
-"""Shared test oracles: independent trace construction, finite differences and
-the n x n form of the contradistinguish loss."""
+"""Shared test oracles: independent trace construction, finite differences,
+the n x n form of the contradistinguish loss, and plain-expression forms of
+the network passes and the Adam step."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
-from contradist.model import ForwardTrace
+from contradist.model import ForwardTrace, init_params
+from contradist.rng import Rng
+from contradist.trainer import Adam
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_hash_grid():
+    """tools/hash_grid.py as a module; its build() names the NumPy/BLAS build."""
+    spec = importlib.util.spec_from_file_location("hash_grid", ROOT / "tools" / "hash_grid.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def net_with_biases(dims, seed):
+    """init_params with N(0, 0.25) biases, so that each bias add shows in the bits."""
+    params = init_params(dims, seed)
+    rng = Rng(seed + 1)
+    for b in params.biases:
+        b[:] = 0.5 * rng.normal(b.size)
+    return params
+
+
+def reference_forward(params, x) -> ForwardTrace:
+    """model.forward as plain expressions, one new array per operation."""
+    x = np.asarray(x, dtype=np.float64)
+    a, acts = x, []
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = np.maximum(a @ w + b, 0.0)
+        acts.append(a)
+    logits = a @ params.weights[-1] + params.biases[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return ForwardTrace(x, acts, logits, log_probs, np.exp(log_probs))
+
+
+def reference_backward(params, trace, dl_dlogits):
+    """model.backward as plain expressions: (flat parameter gradient, input gradient)."""
+    parts = []
+    delta = np.asarray(dl_dlogits, dtype=np.float64)
+    for l in range(len(params.weights) - 1, -1, -1):
+        a_prev = trace.activations[l - 1] if l > 0 else trace.inputs
+        parts[:0] = [(a_prev.T @ delta).ravel(), delta.sum(axis=0)]
+        delta = delta @ params.weights[l].T
+        if l > 0:
+            delta = delta * (a_prev > 0.0)
+    return np.concatenate(parts), delta
+
+
+class ReferenceAdam:
+    """Adam.step with one expression per moment update and one for the step."""
+
+    def __init__(self, lr):
+        self.lr, self.m, self.v, self.t = lr, None, None, 0
+
+    def step(self, a, g):
+        if self.m is None:
+            self.m, self.v = np.zeros_like(a), np.zeros_like(a)
+        self.t += 1
+        c1 = 1.0 - Adam.BETA1**self.t
+        c2 = 1.0 - Adam.BETA2**self.t
+        self.m *= Adam.BETA1
+        self.m += (1.0 - Adam.BETA1) * g
+        self.v *= Adam.BETA2
+        self.v += (1.0 - Adam.BETA2) * g * g
+        a -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + Adam.EPS)
 
 
 def trace_from_logits(logits) -> ForwardTrace:

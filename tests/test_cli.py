@@ -796,6 +796,8 @@ NO_SUCH_FILE = "No such file or directory"
          "--bounds: could not convert string to float: 'a'"),
         (None, [*CONTOUR, "--bounds=-1,1,-1,1", "--resolution", "100000"],
          "resolution must lie in [2, 1000], got 100000"),
+        (None, [*CONTOUR, "--bounds=-inf,inf,0,1"], "bounds and their spans"),
+        (None, [*CONTOUR, "--bounds=0,1,-1e308,1e308"], "bounds and their spans"),
         (None, [*SWEEP, "--seeds", "a"], "--seeds: invalid literal for int()"),
         ({**TRAIN_PATHS, "train": {"epochs": 2.7}}, TRAIN,
          "bad train config value for 'epochs': expected an integer, got 2.7"),
@@ -876,7 +878,8 @@ NO_SUCH_FILE = "No such file or directory"
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
         "domains-list", "gen-data-seed-str", "gen-data-fraction-str", "contour-bounds-str",
-        "contour-resolution-cap", "sweep-seeds-str", "train-epochs-fraction", "train-seed-bool",
+        "contour-resolution-cap", "contour-bounds-infinite", "contour-span-overflow",
+        "sweep-seeds-str", "train-epochs-fraction", "train-seed-bool",
         "train-batch-size-fraction", "generator-noise-dim-fraction",
         "blob-samples-per-class-fraction", "blob-seed-fraction", "blob-seed-bool",
         "sweep-samples-per-class-0", "sweep-lr-negative", "sweep-epochs-negative",

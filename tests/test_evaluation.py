@@ -1,5 +1,8 @@
 """Prediction, metric tallies, and the contour grid export."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,11 @@ from contradist.evaluation import (
     save_contour_csv,
 )
 from contradist.model import forward, init_params
+from helpers import load_hash_grid, net_with_biases
+
+# SHA-256 of the contour.csv pinned below, and the build that recorded it
+PINNED_BUILD = "numpy 2.4.6; blas scipy-openblas 0.3.31.188.0; kernel SkylakeX; x86_64"
+PINNED_CSV_SHA256 = "983da5a3c4580e18b204a68b1737d6cf8cb8c81c775af6a2370f4402286d9f01"
 
 
 def zero_net(k=3):
@@ -173,6 +181,31 @@ class TestContourGrid:
         monkeypatch.setattr(dataset, "_ROW_BLOCK", 3)
         save_contour_csv(grid, tmp_path / "blocks.csv")
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        # 100**2 rows: one full CHUNK_ROWS chunk and a partial one
+        running = load_hash_grid().build()
+        if running != PINNED_BUILD:
+            pytest.skip(f"hash recorded on {PINNED_BUILD!r}; this build is {running!r}")
+        grid = contour_grid(net_with_biases((2, 64, 64, 3), 11), (-3.0, 3.0, -2.0, 2.0), 100)
+        save_contour_csv(grid, tmp_path / "contour.csv")
+        got = hashlib.sha256((tmp_path / "contour.csv").read_bytes()).hexdigest()
+        assert got == PINNED_CSV_SHA256
+
+    def test_peak_memory_is_the_kept_arrays(self):
+        """The grid's traced peak: its points and probabilities, one chunk's
+        hidden activations and softmax arrays, and 1 MiB for the rest."""
+        params, r = init_params([2, 64, 64, 2], 5), 300
+        k, f64 = params.num_classes, 8
+        hidden = sum(params.layer_dims[1:-1])
+        bound = f64 * (CHUNK_ROWS * hidden + r * r * (2 + k) + 3 * CHUNK_ROWS * k) + 2**20
+        tracemalloc.start()
+        try:
+            contour_grid(params, (-1.0, 1.0, -1.0, 1.0), r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_csv_exact_bytes(self, tmp_path):
         points = np.array([[-1.0, 0.0], [0.5, 0.0], [-1.0, 2.0], [0.5, 2.0]])

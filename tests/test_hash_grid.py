@@ -8,20 +8,13 @@ legitimately differ, so the test skips and names both builds; it never
 rewrites the golden file.
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import load_hash_grid
+
 GOLDEN = Path(__file__).resolve().parent / "hash_grid_golden.txt"
-
-
-def load_hash_grid():
-    spec = importlib.util.spec_from_file_location("hash_grid", ROOT / "tools" / "hash_grid.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_grid_matches_the_golden_file():

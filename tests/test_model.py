@@ -18,7 +18,13 @@ from contradist.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from helpers import fd_gradient, max_rel_err
+from helpers import (
+    fd_gradient,
+    max_rel_err,
+    net_with_biases,
+    reference_backward,
+    reference_forward,
+)
 
 
 def small_net(seed=0, dims=(2, 5, 3)):
@@ -252,6 +258,39 @@ class TestBackward:
 
                 numeric = fd_gradient(value_at, arrays[l])
                 assert max_rel_err(analytic[l], numeric) <= 1e-4
+
+
+# (layer dims, rows): no hidden layer, one row, a training batch and a
+# contour chunk (evaluation.CHUNK_ROWS)
+PASS_SHAPES = [((2, 3), 32), ((2, 64, 64, 2), 1), ((2, 64, 64, 2), 32), ((2, 64, 64, 3), 8192)]
+
+
+@pytest.mark.parametrize("dims,rows", PASS_SHAPES, ids=["no-hidden", "1-row", "32-rows", "chunk"])
+class TestPassesMatchPlainExpressions:
+    """The in-place passes give the bits of the plain expressions they replace."""
+
+    def test_forward(self, dims, rows):
+        params = net_with_biases(dims, 3)
+        x = 2.0 * np.random.default_rng(rows).normal(size=(rows, 2))
+        got, want = forward(params, x), reference_forward(params, x)
+        assert np.array_equal(got.inputs, want.inputs)
+        assert len(got.activations) == len(want.activations) == len(dims) - 2
+        for a, b in zip(got.activations, want.activations):
+            assert np.array_equal(a, b)
+        for name in ("logits", "log_probs", "probs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_backward(self, dims, rows):
+        params = net_with_biases(dims, 4)
+        rng = np.random.default_rng(rows + 1)
+        trace = forward(params, 2.0 * rng.normal(size=(rows, 2)))
+        dl = rng.normal(size=trace.logits.shape)
+        dl_before = dl.copy()
+        grads = backward(params, trace, dl)
+        want_flat, want_inputs = reference_backward(params, trace, dl)
+        assert np.array_equal(grads.flat, want_flat)
+        assert np.array_equal(grads.inputs, want_inputs)
+        assert np.array_equal(dl, dl_before)  # the caller's gradient is never written
 
 
 class TestCheckpoint:

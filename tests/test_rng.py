@@ -28,6 +28,15 @@ def test_matches_scalar_reference(seed):
     assert got == reference_splitmix64(seed, 50)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("counter", [0, 2**32 + 5, 2**40 + 3])
+def test_next_u64_matches_the_vectorized_draw(seed, counter):
+    a, b = Rng(seed), Rng(seed)
+    a._counter = b._counter = counter
+    assert [a.next_u64() for _ in range(2)] == [int(b._raw(1)[0]) for _ in range(2)]
+    assert np.array_equal(a.uniform(3), b.uniform(3))
+
+
 def test_streams_are_deterministic():
     a, b = Rng(7), Rng(7)
     assert np.array_equal(a.uniform(100), b.uniform(100))

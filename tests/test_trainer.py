@@ -23,7 +23,7 @@ from contradist.trainer import (
     train,
     train_config_from_dict,
 )
-from helpers import fd_gradient, max_rel_err
+from helpers import ReferenceAdam, fd_gradient, max_rel_err
 
 
 def toy_domains(seed=0, samples=150, rotation=0.0):
@@ -201,6 +201,20 @@ class TestEstimateTargetPrior:
         counts = np.bincount(np.concatenate([a.labels, b.labels]))
         assert np.allclose(pooled.probs, counts / counts.sum())
         assert np.allclose(pooled.probs, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("size", [7, 4610])
+def test_adam_matches_the_one_expression_step_for_50_steps(size):
+    rng = np.random.default_rng(size)
+    a, ref_a = np.zeros(size), np.zeros(size)
+    opt, ref = Adam(lr=3e-3), ReferenceAdam(lr=3e-3)
+    for _ in range(50):
+        g = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=size)
+        g_before = g.copy()
+        opt.step(a, g)
+        ref.step(ref_a, g)
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(g, g_before)
 
 
 class TestTrain:
