@@ -22,6 +22,17 @@ where no OpenBLAS with a thread-count setter is loaded it does nothing.
 The count is process-wide, so other Python threads run under the cap
 during the block too.
 
+The `contradist` command's processes go further and start OpenBLAS with
+one thread: `contradist.__main__` sets OPENBLAS_NUM_THREADS to 1 before
+NumPy loads, unless it is already set, so an explicit count wins.  Else
+`import numpy` starts OpenBLAS's worker thread, which no capped call uses.
+On a 2-vCPU VM (medians of 30 alternating pairs) the default cut the CPU
+of the `pipeline` benchmark's commands by 0.06-0.09 s each: `gen-data` from
+0.30 to 0.21 s, `train` from 0.45 to 0.36 s, `eval` from 0.27 to 0.21 s and
+`contour` from 0.58 to 0.52 s.  A program that only imports the package
+keeps its environment and OpenBLAS's default count, and relies on
+`one_thread()`.
+
 Whether the thread count changes a result depends on the kernel OpenBLAS
 picks for the CPU, which `core_name()` reports.  Measured with
 scipy-openblas 0.3.31 on a 2-vCPU x86_64 VM: on `SkylakeX`, the kernel it

@@ -9,6 +9,11 @@ no file, 2 runtime/numeric error.
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m contradist.cli: before NumPy loads
+    from .__main__ import start_command
+
+    start_command()
+
 import argparse
 import itertools
 import json

@@ -131,7 +131,7 @@ class Priors:
         if not np.all(np.isfinite(probs)) or probs.min() < 0:
             raise ValidationError("prior entries must be finite and >= 0")
         if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"priors must sum to 1, got {probs.sum()!r}")
+            raise ValidationError(f"priors must sum to 1, got {float(probs.sum())!r}")
 
     @property
     def num_classes(self) -> int:

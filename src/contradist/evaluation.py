@@ -24,7 +24,7 @@ CHUNK_ROWS = 8192
 @one_thread()
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Per-row argmax of the softmax output; ties go to the lowest class."""
-    return np.argmax(forward(params, x).probs, axis=1).astype(np.int64)
+    return np.argmax(forward(params, x).probs, axis=1).astype(np.int64, copy=False)
 
 
 @dataclass
@@ -105,7 +105,7 @@ def contour_grid(
     probs = np.empty((len(points), params.num_classes))
     for i in range(0, len(points), CHUNK_ROWS):
         probs[i : i + CHUNK_ROWS] = forward(params, points[i : i + CHUNK_ROWS]).probs
-    preds = np.argmax(probs, axis=1).astype(np.int64)
+    preds = np.argmax(probs, axis=1).astype(np.int64, copy=False)
     return ContourGrid(points, probs, preds)
 
 

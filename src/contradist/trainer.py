@@ -69,6 +69,24 @@ def _ints(items) -> tuple[int, ...]:
     return tuple(as_int(h) for h in items)
 
 
+# The most parameters a config may give a network (classifier or generator).
+# Training keeps about eight float64 vectors of that length: the parameters
+# (twice while init_params joins them), their gradient, one term's gradient,
+# and Adam's m, v and two scratch vectors.  At 10**7 parameters that is
+# 8 * 8 B * 10**7 = 640 MB per network.  The count is checked when the config
+# is built, before any data loads or any output is written.
+MAX_PARAMS = 10**7
+
+
+def _check_size(layer_dims: tuple[int, ...], what: str) -> None:
+    """Refuse a network whose layer_dims give more than MAX_PARAMS parameters."""
+    count = sum(i * o + o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
+    if count > MAX_PARAMS:
+        raise ValidationError(
+            f"{what} give at least {count} parameters, more than MAX_PARAMS = {MAX_PARAMS}"
+        )
+
+
 @dataclass(frozen=True)
 class GeneratorSettings:
     """Toy generator: noise_dim -> hidden_dims -> feature dim, own Adam lr."""
@@ -82,6 +100,8 @@ class GeneratorSettings:
         _convert_fields(self, converters, "fake_sampler")
         if self.noise_dim < 1 or any(h < 1 for h in self.hidden_dims):
             raise ValidationError("generator dims must be positive")
+        # its output width is the data's feature count, at least 1
+        _check_size((self.noise_dim, *self.hidden_dims, 1), "generator noise_dim and hidden_dims")
         if not (self.lr >= 0 and np.isfinite(self.lr)):
             raise ValidationError("generator lr must be a finite non-negative real")
 
@@ -248,6 +268,8 @@ class TrainConfig:
             )
         if any(h < 1 for h in self.hidden_dims):
             raise ValidationError("hidden dims must be positive")
+        # the data sets the input and output widths; each is at least 1
+        _check_size((1, *self.hidden_dims, 1), "classifier hidden_dims")
         if generator and not self.hidden_dims:
             raise ValidationError("classifier needs a hidden layer to expose an embedding")
         if self.warmup_epochs < 0:

@@ -1,9 +1,16 @@
 """The one-thread BLAS cap: covers every network pass, restores the count,
 changes no result."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import contradist
 from contradist import blas, evaluation, trainer
 from contradist.cli import main
 from contradist.dataset import BlobSpec, make_blobs, save_csv
@@ -203,3 +210,79 @@ def test_capped_contour_grid_is_bit_equal_to_a_two_thread_forward(threads):
     probs = forward(params, grid.points).probs
     assert np.array_equal(grid.probs, probs)
     assert np.array_equal(grid.preds, np.argmax(probs, axis=1))
+
+
+# The command's processes start OpenBLAS with one thread (contradist.__main__);
+# each case runs in a fresh interpreter, since NumPy reads the variable once.
+THREADS_VAR = "OPENBLAS_NUM_THREADS"
+SRC = Path(contradist.__file__).parent.parent
+
+RUN_AS_MAIN = """
+import runpy
+try:
+    runpy.run_module("contradist.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+"""
+
+
+def installed_script() -> str:
+    """What the installed `contradist` script runs, from pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    module, _, attr = pyproject["project"]["scripts"]["contradist"].partition(":")
+    return f"from {module} import {attr}\n{attr}()\n"
+
+
+def run_child(code: str, **env) -> str:
+    """The stdout of `code` in a fresh interpreter whose only thread variable
+    is the one given."""
+    child_env = {k: v for k, v in os.environ.items() if k != THREADS_VAR}
+    child_env.update(env, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+def child_threads(code: str, **env) -> tuple[str | None, int]:
+    """(OPENBLAS_NUM_THREADS, OpenBLAS's thread count) after `code` runs as a
+    command with no arguments."""
+    controls_or_skip()
+    probe = (
+        "import contextlib, io, json, os, sys\n"
+        "sys.argv = ['contradist']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in code.strip().splitlines())
+        + "from contradist import blas\n"
+        f"print(json.dumps([os.environ.get({THREADS_VAR!r}), blas._controls()[0]()]))\n"
+    )
+    return tuple(json.loads(run_child(probe, **env)))
+
+
+@pytest.mark.parametrize("entry", ["cli-as-main", "script"])
+def test_command_starts_openblas_with_one_thread(entry):
+    code = RUN_AS_MAIN if entry == "cli-as-main" else installed_script()
+    assert child_threads(code) == ("1", 1)
+
+
+def test_importing_the_cli_leaves_the_variable_and_openblas_alone():
+    _, default = child_threads("import numpy")
+    assert child_threads("import contradist.cli") == (None, default)
+
+
+def test_an_explicit_thread_count_wins_over_the_command_default():
+    _, given = child_threads("import numpy", **{THREADS_VAR: "2"})
+    assert child_threads(RUN_AS_MAIN, **{THREADS_VAR: "2"}) == ("2", given)
+
+
+def test_importing_any_module_leaves_the_environment_unchanged():
+    package = Path(contradist.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    run_child(
+        "import importlib, os\n"
+        "before = dict(os.environ)\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('contradist.' + name)\n"
+        "assert dict(os.environ) == before\n"
+    )

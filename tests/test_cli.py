@@ -874,6 +874,15 @@ NO_SUCH_FILE = "No such file or directory"
          "classifier needs a hidden layer to expose an embedding"),
         (TRAIN_PATHS, [*TRAIN, "--mmd-gamma", "0.5"],
          "a numeric mmd_gamma needs the generator sampler"),
+        (TRAIN_PATHS, [*TRAIN, "--hidden-dims", "100000000"],
+         "classifier hidden_dims give at least 300000001 parameters, "
+         "more than MAX_PARAMS = 10000000"),
+        ({**TRAIN_PATHS, "train": {"hidden_dims": [4000, 4000]}}, TRAIN,
+         "classifier hidden_dims give at least 16016001 parameters"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {"noise_dim": 10000000}}}, TRAIN,
+         "generator noise_dim and hidden_dims give at least 640004289 parameters, "
+         "more than MAX_PARAMS = 10000000"),
+        (TRAIN_PATHS, [*TRAIN, "--prior", "0.5,0.6"], "priors must sum to 1, got 1.1"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -893,6 +902,8 @@ NO_SUCH_FILE = "No such file or directory"
         "gen-data-config-missing", "eval-checkpoint-missing", "eval-data-missing",
         "contour-checkpoint-missing", "contour-data-missing", "contour-bounds-and-data",
         "contour-no-frame", "generator-no-hidden-layer", "mmd-gamma-gaussian-sampler",
+        "train-network-too-large", "train-hidden-layers-too-large", "generator-too-large",
+        "train-prior-sum",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):

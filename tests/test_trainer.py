@@ -87,6 +87,20 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="sa needs the Gaussian"):
             TrainConfig(terms=("ss", "sa"), fake_sampler=GeneratorSettings())
 
+    def test_network_size_cap_counts_what_the_config_fixes(self):
+        # hidden (h,) with one input and one output width: 3h + 1 parameters;
+        # building a config allocates no network, so the boundary is cheap
+        edge = (trainer.MAX_PARAMS - 1) // 3
+        assert TrainConfig(hidden_dims=(edge,)).hidden_dims == (edge,)
+        with pytest.raises(ValidationError, match="classifier hidden_dims give at least"):
+            TrainConfig(hidden_dims=(edge + 1,))
+        with pytest.raises(ValidationError, match="MAX_PARAMS = 10000000"):
+            TrainConfig(hidden_dims=(4000, 4000))
+        with pytest.raises(ValidationError, match="generator noise_dim and hidden_dims"):
+            GeneratorSettings(noise_dim=10**7, hidden_dims=(1,))
+        with pytest.raises(ValidationError, match="generator noise_dim and hidden_dims"):
+            GeneratorSettings(hidden_dims=(4000, 4000))
+
     def test_dict_round_trip(self):
         cfg = quick_cfg(fake_sampler=GeneratorSettings(noise_dim=3), term_weights={"tu": 0.5})
         assert train_config_from_dict(asdict(cfg)) == cfg
