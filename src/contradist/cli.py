@@ -194,7 +194,7 @@ def cmd_gen_data(args) -> int:
 # train flags that set the train key of their own name
 _TRAIN_FLAGS = (
     "epochs", "batch_size", "lr", "optimizer", "seed", "terms", "hidden_dims", "prior",
-    "mmd_gamma", "term_weights",
+    "term_weights",
 )
 
 
@@ -204,15 +204,6 @@ def _train_config_from_args(args, file_train: dict) -> TrainConfig:
         train["fake_sampler"] = "gaussian_input"
     elif args.fake_sampler == "generator" and not isinstance(train.get("fake_sampler"), dict):
         train["fake_sampler"] = {}
-    generator = {"noise_dim": args.noise_dim, "lr": args.gen_lr}
-    generator = {key: value for key, value in generator.items() if value is not None}
-    if generator:
-        if not isinstance(train.get("fake_sampler"), dict):
-            raise ValidationError(
-                "--noise-dim and --gen-lr need the generator sampler: give "
-                "--fake-sampler generator or a fake_sampler object in the config"
-            )
-        train["fake_sampler"] = {**train["fake_sampler"], **generator}
     return train_config_from_dict(train)
 
 
@@ -230,7 +221,8 @@ def _train_and_score(
     metrics_{source,target}_test.json to out_dir; return both accuracies.
 
     The source test sets are pooled into one score; every test set must be
-    labeled (cmd_train checks before it writes, preset cells always are).
+    labeled with the sources' classes (cmd_train checks before it writes,
+    preset cells always are).
     """
     target_train, target_test = target
     params, history = train(cfg, [tr for tr, _ in sources], target_train.without_labels())
@@ -271,11 +263,16 @@ def cmd_train(args) -> int:
     splits = ("train", "test")
     source_sets = [tuple(_load_domain(data_dir, name, s) for s in splits) for name in sources]
     target_sets = tuple(_load_domain(data_dir, target, s) for s in splits)
-    validate_inputs(cfg, [tr for tr, _ in source_sets], target_sets[0].without_labels())
+    k = validate_inputs(cfg, [tr for tr, _ in source_sets], target_sets[0].without_labels())
     scored = [("source", test) for _, test in source_sets] + [("target", target_sets[1])]
     for role, test in scored:
         if test.labels is None:
             raise ValidationError(f"{role} test set {test.domain_id!r} has no labels to score")
+        if test.labels.max() >= k:
+            raise ValidationError(
+                f"{role} test set {test.domain_id!r} has label {test.labels.max()}, "
+                f"but the sources have {k} classes"
+            )
 
     resolved = {"schema_version": SCHEMA_VERSION, **run, "train": asdict(cfg)}
     _echo_config(out_dir, "config.json", resolved)
@@ -482,12 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=lambda text: "estimate_from_source" if text == "estimate" else _csv_list(text),
     )
     p.add_argument("--fake-sampler", choices=("gaussian", "generator"))
-    p.add_argument("--noise-dim", type=int)
-    p.add_argument("--gen-lr", type=float)
-    p.add_argument(
-        "--mmd-gamma", type=lambda text: "median-heuristic" if text == "median" else text,
-        help="'median' or a positive real",
-    )
     p.add_argument(
         "--weights", dest="term_weights", type=_term_weights,
         help="term=value list, e.g. ss=1.0,tu=0.5",

@@ -20,6 +20,13 @@ from .files import write_atomic
 from .rng import Rng, derive_seed
 
 
+# The most rows a blob spec may draw per class.  make_blobs draws two normals
+# per row and keeps 2 features and a label, 40 B a row; training then passes
+# a whole split through the classifier each epoch, 512 B a row per 64-wide
+# hidden layer.  At 10**5 rows per class that is 4 MB and 51 MB per class.
+MAX_SAMPLES_PER_CLASS = 10**5
+
+
 @dataclass(frozen=True)
 class BlobSpec:
     """Generator settings for one domain.
@@ -47,6 +54,11 @@ class BlobSpec:
                 raise ValidationError(f"class {i}: std must be positive, got {std}")
         if self.samples_per_class < 1:
             raise ValidationError("samples_per_class must be >= 1")
+        if self.samples_per_class > MAX_SAMPLES_PER_CLASS:
+            raise ValidationError(
+                f"samples_per_class {self.samples_per_class} is more than "
+                f"MAX_SAMPLES_PER_CLASS = {MAX_SAMPLES_PER_CLASS}"
+            )
         if len(self.offset) != 2:
             raise ValidationError("offset must be a 2-vector")
 

@@ -12,8 +12,9 @@ batch, then combines the enabled loss terms:
 Fakes come either from per-dimension Gaussians fit to the batch, or from a
 small generator network trained to match the classifier's embedding of the
 target via a kernel two-sample loss.  The generator only models the target,
-so sa always uses Gaussian fakes and rejects the generator sampler.  The
-target dataset must arrive unlabeled; nothing in here reads target labels.
+so sa always uses Gaussian fakes and rejects the generator sampler, and
+train() builds the generator only when ta is enabled.  The target dataset
+must arrive unlabeled; nothing in here reads target labels.
 
 train() holds the terms in one table.  Each row names a term, the epoch its
 weight starts ramping from (none for ss), and how it turns the step's source
@@ -77,6 +78,19 @@ def _ints(items) -> tuple[int, ...]:
 # is built, before any data loads or any output is written.
 MAX_PARAMS = 10**7
 
+# The largest batch_size a config may set.  Each batch stream tops a batch
+# up from fresh permutations of its domain, so it can hold batch_size int64
+# indices (512 KB at the cap) on top of the batch's own rows.
+MAX_BATCH_SIZE = 2**16
+
+# The most entries one float64 array of a training step may hold.  A batch's
+# activations are batch_size rows by a layer's width (the data's features and
+# classes included), and with the generator each kernel_mmd block is
+# batch_size by batch_size.  At 2**22 entries an array takes 32 MB, and a
+# step keeps a few per layer and per batch.  The data fix the input and
+# output widths, so validate_inputs checks it, before training allocates.
+MAX_BATCH_ENTRIES = 2**22
+
 
 def _check_size(layer_dims: tuple[int, ...], what: str) -> None:
     """Refuse a network whose layer_dims give more than MAX_PARAMS parameters."""
@@ -104,6 +118,13 @@ class GeneratorSettings:
         _check_size((self.noise_dim, *self.hidden_dims, 1), "generator noise_dim and hidden_dims")
         if not (self.lr >= 0 and np.isfinite(self.lr)):
             raise ValidationError("generator lr must be a finite non-negative real")
+
+
+def _stepped_generator(cfg: "TrainConfig") -> GeneratorSettings | None:
+    """The generator's settings when train() builds it: only ta steps or reads it."""
+    if isinstance(cfg.fake_sampler, GeneratorSettings) and "ta" in cfg.terms:
+        return cfg.fake_sampler
+    return None
 
 
 def _sampler(value):
@@ -228,6 +249,10 @@ class TrainConfig:
         _convert_fields(self, _TRAIN_CONVERTERS, "train config")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ValidationError(
+                f"batch_size {self.batch_size} is more than MAX_BATCH_SIZE = {MAX_BATCH_SIZE}"
+            )
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
         if not (self.lr >= 0 and np.isfinite(self.lr)):
@@ -244,8 +269,10 @@ class TrainConfig:
         generator = isinstance(self.fake_sampler, GeneratorSettings)
         if "ss" not in seen:
             raise ValidationError("the ss term is the anchor and must stay enabled")
-        if "tu" in seen and self.batch_size < 2:
-            raise ValidationError("tu needs batch_size >= 2")
+        # tu compares a batch's rows; Gaussian fakes fit a std to a batch
+        for term in ("tu", "sa") if generator else ("tu", "ta", "sa"):
+            if term in seen and self.batch_size < 2:
+                raise ValidationError(f"{term} needs batch_size >= 2")
         if "sa" in seen and generator:
             raise ValidationError(
                 "sa needs the Gaussian fake sampler: the generator only models the target"
@@ -429,6 +456,16 @@ def validate_inputs(
         raise ValidationError("need at least 2 classes across the sources")
     if not isinstance(cfg.prior, str) and len(cfg.prior) != k:
         raise ValidationError(f"given prior has {len(cfg.prior)} classes, sources have {k}")
+    widths = (d, *cfg.hidden_dims, k)
+    gs = _stepped_generator(cfg)
+    if gs is not None:
+        widths += (gs.noise_dim, *gs.hidden_dims, cfg.batch_size)  # last: the MMD blocks
+    entries = cfg.batch_size * max(widths)
+    if entries > MAX_BATCH_ENTRIES:
+        raise ValidationError(
+            f"batch_size {cfg.batch_size} by width {max(widths)} gives {entries} entries "
+            f"per array, more than MAX_BATCH_ENTRIES = {MAX_BATCH_ENTRIES}"
+        )
     return k
 
 
@@ -466,8 +503,8 @@ def train(
     fake_seeds_sa = Rng(derive_seed(cfg.seed, "fake/sa"))
 
     gen = None
-    if isinstance(cfg.fake_sampler, GeneratorSettings):
-        gs = cfg.fake_sampler
+    gs = _stepped_generator(cfg)
+    if gs is not None:
         gen = init_params(
             (gs.noise_dim, *gs.hidden_dims, d), derive_seed(cfg.seed, "gen-init")
         )
@@ -506,15 +543,14 @@ def train(
         ]),
     ]
     table = [row for row in table if row[0] in terms]
-    generator_steps = gen is not None and "ta" in terms
-    need_target_trace = "tu" in terms or generator_steps
+    need_target_trace = "tu" in terms or gen is not None
 
     grad = np.zeros_like(params.flat)
     pooled_x = np.vstack([s.features for s in sources])
     pooled_y = np.concatenate([s.labels for s in sources])
     n_batch = -(-max(max(s.n for s in sources), target.n) // cfg.batch_size)
     loss_keys = [t for t in TERMS if t in terms]
-    if generator_steps:
+    if gen is not None:
         loss_keys.append("gen")
 
     def ramp(epoch: int, start: int | None) -> float:

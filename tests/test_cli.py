@@ -1,14 +1,19 @@
 """End-to-end command behavior, exit codes, and file outputs."""
 
+import argparse
 import errno
 import json
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contradist.cli import build_parser, main
 from contradist.dataset import load_csv
+from contradist.trainer import TrainConfig
 
 FAST_TRAIN = [
     "--epochs", "4", "--batch-size", "32", "--seed", "1",
@@ -326,14 +331,16 @@ class TestTrain:
         monkeypatch.chdir(tmp_path)
         write_full_train_config(tmp_path)
         # FULL_TRAIN as flags; the file gives only the keys no flag sets
-        rest = {"warmup_epochs": 0, "ramp_epochs": 1, "fake_sampler": {"hidden_dims": [8]}}
+        rest = {
+            "warmup_epochs": 0, "ramp_epochs": 1, "mmd_gamma": 0.5,
+            "fake_sampler": {"noise_dim": 3, "hidden_dims": [8], "lr": 0.002},
+        }
         (tmp_path / "train.json").write_text(json.dumps({"schema_version": 1, "train": rest}))
         argv = [
             "train", "--config", "train.json", "--data-dir", "data", "--sources", "d0",
             "--target", "d1", "--out", "run", "--terms", "ss,tu,ta", "--epochs", "2",
             "--batch-size", "16", "--lr", "0.004", "--optimizer", "sgd", "--seed", "4",
             "--hidden-dims", "8,8", "--prior", "0.4,0.6", "--fake-sampler", "generator",
-            "--noise-dim", "3", "--gen-lr", "0.002", "--mmd-gamma", "0.5",
             "--weights", "tu=1,ta=0.5,gen=2",
         ]
         assert None not in vars(build_parser().parse_args(argv)).values()  # every flag given
@@ -357,8 +364,21 @@ class TestTrain:
              "all domains must share the feature width"),
             ({"d0_test": "unlabel"}, (), "source test set 'd0' has no labels to score"),
             ({"d1_test": "unlabel"}, (), "target test set 'd1' has no labels to score"),
+            ({"d0_test": "add-class"}, (),
+             "source test set 'd0' has label 2, but the sources have 2 classes"),
+            ({"d1_train": "add-class", "d1_test": "add-class"}, (),
+             "target test set 'd1' has label 2, but the sources have 2 classes"),
+            ({}, ("--hidden-dims", "200000"),
+             "batch_size 32 by width 200000 gives 6400000 entries per array, "
+             "more than MAX_BATCH_ENTRIES = 4194304"),
+            ({}, ("--batch-size", "4096", "--fake-sampler", "generator"),
+             "batch_size 4096 by width 4096 gives 16777216 entries per array"),
         ],
-        ids=["prior-classes", "feature-width", "unlabeled-source-test", "unlabeled-target-test"],
+        ids=[
+            "prior-classes", "feature-width", "unlabeled-source-test", "unlabeled-target-test",
+            "source-test-class-not-in-sources", "target-test-class-not-in-sources",
+            "batch-activations-too-large", "generator-mmd-blocks-too-large",
+        ],
     )
     def test_data_contradicting_the_config_exits_1_before_writing(
         self, tmp_path, capsys, rewrite, extra, message
@@ -369,7 +389,9 @@ class TestTrain:
         for name, how in rewrite.items():
             ds = load_csv(data_dir / f"{name}.csv")
             wide = DomainDataset(np.column_stack([ds.features, ds.features[:, :1]]), ds.labels)
-            save_csv(wide if how == "widen" else ds.without_labels(), data_dir / f"{name}.csv")
+            third = DomainDataset(ds.features, np.where(ds.labels == 1, 2, ds.labels))
+            rewritten = {"widen": wide, "unlabel": ds.without_labels(), "add-class": third}
+            save_csv(rewritten[how], data_dir / f"{name}.csv")
         capsys.readouterr()
         code, out_dir = fast_train(tmp_path, data_dir, extra=extra)
         assert code == 1
@@ -757,6 +779,21 @@ class TestTopLevel:
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert_one_line_error(capsys, "out of memory: Unable to allocate 65.5 TiB")
 
+    def test_readme_train_flag_table_lists_every_train_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = re.findall(r"^\| `(--[a-z-]+)` \| `([a-z_.]+)` \|", readme, re.M)
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            action.option_strings[0]: action.dest
+            for action in sub.choices["train"]._actions
+            if action.option_strings and action.dest not in ("help", "config")
+        }
+        train_keys = {f.name for f in fields(TrainConfig)}
+        expected = [
+            (flag, f"train.{dest}" if dest in train_keys else dest) for flag, dest in flags.items()
+        ]
+        assert sorted(table) == sorted(expected)
+
     def test_out_of_memory_without_detail(self, tmp_path, monkeypatch, capsys):
         import contradist.cli as cli
 
@@ -843,11 +880,9 @@ NO_SUCH_FILE = "No such file or directory"
          "argument --fake-sampler: invalid choice: 'gaussain'"),
         (None, [*SWEEP, "--seeds", "1", "--directions", "d1->d2"],
          "argument --directions: invalid choice: 'd1->d2'"),
-        ({**TRAIN_PATHS, "train": {"fake_sampler": {"noise_dim": 2}}},
-         [*TRAIN, "--fake-sampler", "gaussian", "--noise-dim", "4"],
-         "--noise-dim and --gen-lr need the generator sampler"),
-        (TRAIN_PATHS, [*TRAIN, "--gen-lr", "0.01"],
-         "--noise-dim and --gen-lr need the generator sampler"),
+        (TRAIN_PATHS, [*TRAIN, "--noise-dim", "4"], "unrecognized arguments: --noise-dim 4"),
+        (TRAIN_PATHS, [*TRAIN, "--gen-lr", "0.01"], "unrecognized arguments: --gen-lr 0.01"),
+        (TRAIN_PATHS, [*TRAIN, "--mmd-gamma", "0.5"], "unrecognized arguments: --mmd-gamma 0.5"),
         ({"preset": "aligned", "domains": {"a": BLOB}}, GEN,
          "give a preset or explicit domains, not both"),
         ({"domains": {"a": BLOB}}, [*GEN, "--preset", "aligned"],
@@ -872,7 +907,7 @@ NO_SUCH_FILE = "No such file or directory"
         (None, CONTOUR, "one of the arguments --bounds --data is required"),
         ({**TRAIN_PATHS, "train": {"hidden_dims": [], "fake_sampler": {}}}, TRAIN,
          "classifier needs a hidden layer to expose an embedding"),
-        (TRAIN_PATHS, [*TRAIN, "--mmd-gamma", "0.5"],
+        ({**TRAIN_PATHS, "train": {"mmd_gamma": 0.5}}, TRAIN,
          "a numeric mmd_gamma needs the generator sampler"),
         (TRAIN_PATHS, [*TRAIN, "--hidden-dims", "100000000"],
          "classifier hidden_dims give at least 300000001 parameters, "
@@ -883,6 +918,19 @@ NO_SUCH_FILE = "No such file or directory"
          "generator noise_dim and hidden_dims give at least 640004289 parameters, "
          "more than MAX_PARAMS = 10000000"),
         (TRAIN_PATHS, [*TRAIN, "--prior", "0.5,0.6"], "priors must sum to 1, got 1.1"),
+        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,ta", "--batch-size", "1"],
+         "ta needs batch_size >= 2"),
+        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,sa", "--batch-size", "1"],
+         "sa needs batch_size >= 2"),
+        ({**TRAIN_PATHS, "train": {"batch_size": 10**9}}, TRAIN,
+         "batch_size 1000000000 is more than MAX_BATCH_SIZE = 65536"),
+        (None, ["gen-data", "--preset", "aligned", "--samples-per-class", "100001",
+                "--out", "{out}"],
+         "samples_per_class 100001 is more than MAX_SAMPLES_PER_CLASS = 100000"),
+        (None, [*SWEEP, "--seeds", "1", "--samples-per-class", "1000000000"],
+         "samples_per_class 1000000000 is more than MAX_SAMPLES_PER_CLASS = 100000"),
+        ({"domains": {"a": {**BLOB, "samples_per_class": 100001}}}, GEN,
+         "samples_per_class 100001 is more than MAX_SAMPLES_PER_CLASS"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -895,7 +943,8 @@ NO_SUCH_FILE = "No such file or directory"
         "sweep-unknown-term", "train-lr-bool", "train-weight-bool", "train-mmd-gamma-bool",
         "generator-lr-bool", "blob-rotation-bool", "blob-offset-bool", "blob-center-bool",
         "blob-std-bool", "gen-data-unsplittable", "sweep-unsplittable", "train-fake-sampler-typo",
-        "sweep-direction-typo", "noise-dim-gaussian-sampler", "gen-lr-default-sampler",
+        "sweep-direction-typo", "noise-dim-flag-removed", "gen-lr-flag-removed",
+        "mmd-gamma-flag-removed",
         "gen-data-preset-and-domains", "gen-data-preset-flag-and-domains",
         "gen-data-seed-flag-and-domains", "gen-data-samples-flag-and-domains",
         "train-target-is-source", "train-repeated-source", "train-config-missing",
@@ -903,7 +952,9 @@ NO_SUCH_FILE = "No such file or directory"
         "contour-checkpoint-missing", "contour-data-missing", "contour-bounds-and-data",
         "contour-no-frame", "generator-no-hidden-layer", "mmd-gamma-gaussian-sampler",
         "train-network-too-large", "train-hidden-layers-too-large", "generator-too-large",
-        "train-prior-sum",
+        "train-prior-sum", "ta-gaussian-batch-of-one", "sa-batch-of-one",
+        "train-batch-size-too-large", "gen-data-samples-per-class-too-large",
+        "sweep-samples-per-class-too-large", "blob-samples-per-class-too-large",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):

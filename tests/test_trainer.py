@@ -22,6 +22,7 @@ from contradist.trainer import (
     sample_fake_gaussian,
     train,
     train_config_from_dict,
+    validate_inputs,
 )
 from helpers import ReferenceAdam, fd_gradient, max_rel_err
 
@@ -75,6 +76,13 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             TrainConfig(terms=("ss", "tu"), batch_size=1)
 
+    @pytest.mark.parametrize("term", ["ta", "sa"])
+    def test_gaussian_fakes_need_batch_of_two(self, term):
+        with pytest.raises(ValidationError, match=f"{term} needs batch_size >= 2"):
+            TrainConfig(terms=("ss", term), batch_size=1)
+        # the generator draws its fakes from noise, so ta runs on one row
+        TrainConfig(terms=("ss", "ta"), batch_size=1, fake_sampler=GeneratorSettings())
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             TrainConfig(term_weights={"tu": -1.0})
@@ -100,6 +108,26 @@ class TestConfigValidation:
             GeneratorSettings(noise_dim=10**7, hidden_dims=(1,))
         with pytest.raises(ValidationError, match="generator noise_dim and hidden_dims"):
             GeneratorSettings(hidden_dims=(4000, 4000))
+
+    def test_batch_caps_count_what_a_step_allocates(self):
+        # validate_inputs checks the arrays a step would build and allocates none
+        src = DomainDataset(np.zeros((2, 2)), np.array([0, 1]))
+        tgt = DomainDataset(np.zeros((2, 2)))
+        assert TrainConfig(batch_size=trainer.MAX_BATCH_SIZE).batch_size == 2**16
+        with pytest.raises(ValidationError, match="more than MAX_BATCH_SIZE = 65536"):
+            TrainConfig(batch_size=trainer.MAX_BATCH_SIZE + 1)
+        # 2**16 rows by the default 64-wide layers fill the cap exactly
+        assert validate_inputs(TrainConfig(batch_size=2**16), [src], tgt) == 2
+        with pytest.raises(ValidationError, match="by width 65 gives 4259840 entries"):
+            validate_inputs(TrainConfig(batch_size=2**16, hidden_dims=(65,)), [src], tgt)
+        # with the generator stepping, its MMD blocks are batch_size squared
+        gen = dict(fake_sampler=GeneratorSettings(), terms=("ss", "ta"))
+        assert validate_inputs(TrainConfig(batch_size=2**11, **gen), [src], tgt) == 2
+        with pytest.raises(ValidationError, match="by width 2049 gives"):
+            validate_inputs(TrainConfig(batch_size=2**11 + 1, **gen), [src], tgt)
+        # a generator that ta does not use is never built
+        no_ta = TrainConfig(**{**gen, "terms": ("ss", "tu")}, batch_size=2**11 + 1)
+        assert validate_inputs(no_ta, [src], tgt) == 2
 
     def test_dict_round_trip(self):
         cfg = quick_cfg(fake_sampler=GeneratorSettings(noise_dim=3), term_weights={"tu": 0.5})
@@ -334,6 +362,24 @@ class TestTrain:
         _, history = train(cfg, [src], tgt.without_labels())
         assert "gen" in history.records[-1].losses
         assert np.isfinite(history.records[-1].losses["gen"])
+
+    @pytest.mark.parametrize(
+        "terms, nets", [(("ss", "tu"), 1), (("ss", "tu", "ta"), 2)], ids=["ss,tu", "ss,tu,ta"]
+    )
+    def test_generator_is_built_only_when_ta_steps_it(self, monkeypatch, terms, nets):
+        src, tgt = toy_domains()
+        gs = GeneratorSettings(noise_dim=4, hidden_dims=(16,), lr=1e-3)
+        built = []
+
+        def counting(layer_dims, seed):
+            built.append(tuple(layer_dims))
+            return init_params(layer_dims, seed)
+
+        monkeypatch.setattr(trainer, "init_params", counting)
+        cfg = quick_cfg(epochs=1, terms=terms, fake_sampler=gs)
+        _, history = train(cfg, [src], tgt.without_labels())
+        assert built == [(2, 16, 2), (4, 16, 2)][:nets]
+        assert ("gen" in history.records[0].losses) == (nets == 2)
 
     @pytest.mark.parametrize("terms", [("ss", "tu", "ta"), ("ss", "ta"), ("ss", "tu")])
     def test_one_classifier_pass_per_target_batch_per_step(self, monkeypatch, terms):
