@@ -1,8 +1,8 @@
 """One BLAS thread for every network pass.
 
-The rule: every network pass runs on one BLAS thread.  `trainer.train`,
-`evaluation.predict` and `evaluation.contour_grid` run under `one_thread()`;
-together they cover training, its per-epoch predict, the scoring predicts
+The rule: every network pass runs on one BLAS thread.  `trainer.train` and
+the chunk loop under `evaluation.predict` and `evaluation.contour_grid` run
+under `one_thread()`; together they cover training, the scoring predicts
 after it, `eval`, `contour`, each `sweep` worker and library callers.
 
 OpenBLAS splits a product over its threads once m * n * k passes about

@@ -14,17 +14,27 @@ from .dataset import write_rows
 from .errors import ValidationError
 from .model import ModelParams, forward
 
-# The grid runs through the network CHUNK_ROWS points at a time, so only the
-# points and their probabilities grow with r**2, not the hidden activations.
-# The resolution is capped before any grid array is allocated.
+# Every whole-set pass, predict's and the contour grid's, runs CHUNK_ROWS rows
+# at a time, so only the rows and their probabilities grow with the set, not
+# the hidden activations.  The resolution is capped before the grid exists.
 MAX_RESOLUTION = 1000
 CHUNK_ROWS = 8192
 
 
 @one_thread()
+def _probs(params: ModelParams, x) -> np.ndarray:
+    """forward's probabilities for the rows of x, CHUNK_ROWS rows at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x) if x.ndim == 2 else 0
+    probs = np.empty((n, params.num_classes))
+    for i in range(0, max(n, 1), CHUNK_ROWS):  # once at least, so forward checks every x
+        probs[i : i + CHUNK_ROWS] = forward(params, x[i : i + CHUNK_ROWS] if n else x).probs
+    return probs
+
+
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Per-row argmax of the softmax output; ties go to the lowest class."""
-    return np.argmax(forward(params, x).probs, axis=1).astype(np.int64, copy=False)
+    return np.argmax(_probs(params, x), axis=1).astype(np.int64, copy=False)
 
 
 @dataclass
@@ -84,7 +94,6 @@ class ContourGrid:
     preds: np.ndarray  # (resolution**2,)
 
 
-@one_thread()
 def contour_grid(
     params: ModelParams, bounds: tuple[float, float, float, float], resolution: int
 ) -> ContourGrid:
@@ -102,9 +111,7 @@ def contour_grid(
     points[:, :, 0] = np.linspace(x_min, x_max, resolution)
     points[:, :, 1] = np.linspace(y_min, y_max, resolution)[:, None]
     points = points.reshape(-1, 2)
-    probs = np.empty((len(points), params.num_classes))
-    for i in range(0, len(points), CHUNK_ROWS):
-        probs[i : i + CHUNK_ROWS] = forward(params, points[i : i + CHUNK_ROWS]).probs
+    probs = _probs(params, points)
     preds = np.argmax(probs, axis=1).astype(np.int64, copy=False)
     return ContourGrid(points, probs, preds)
 

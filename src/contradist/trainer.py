@@ -27,7 +27,9 @@ stream in order.
 
 Each step runs the classifier over the target batch once, and only when tu
 or the generator step needs it: tu's contradistinguish loss reads that
-trace, and the generator matches its last hidden activation.
+trace, and the generator matches its last hidden activation.  The ss traces
+also give source_train_accuracy, the share of the epoch's source-batch rows
+they get right before each step's update, so training runs no whole-set pass.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 from .blas import one_thread
 from .dataset import DomainDataset, Priors, estimate_prior
 from .errors import NumericError, ValidationError, as_float, as_int, check_keys
-from .evaluation import predict
 from .files import write_atomic
 from .losses import (
     MmdConfig,
@@ -75,7 +76,8 @@ def _ints(items) -> tuple[int, ...]:
 # (twice while init_params joins them), their gradient, one term's gradient,
 # and Adam's m, v and two scratch vectors.  At 10**7 parameters that is
 # 8 * 8 B * 10**7 = 640 MB per network.  The count is checked when the config
-# is built, before any data loads or any output is written.
+# is built, with the data's widths taken as 1, and again with their real
+# widths in validate_inputs; both run before any output is written.
 MAX_PARAMS = 10**7
 
 # The largest batch_size a config may set.  Each batch stream tops a batch
@@ -466,6 +468,9 @@ def validate_inputs(
             f"batch_size {cfg.batch_size} by width {max(widths)} gives {entries} entries "
             f"per array, more than MAX_BATCH_ENTRIES = {MAX_BATCH_ENTRIES}"
         )
+    _check_size((d, *cfg.hidden_dims, k), "classifier layers with the data's widths")
+    if gs is not None:
+        _check_size((gs.noise_dim, *gs.hidden_dims, d), "generator layers with the data's width")
     return k
 
 
@@ -546,8 +551,6 @@ def train(
     need_target_trace = "tu" in terms or gen is not None
 
     grad = np.zeros_like(params.flat)
-    pooled_x = np.vstack([s.features for s in sources])
-    pooled_y = np.concatenate([s.labels for s in sources])
     n_batch = -(-max(max(s.n for s in sources), target.n) // cfg.batch_size)
     loss_keys = [t for t in TERMS if t in terms]
     if gen is not None:
@@ -567,6 +570,7 @@ def train(
         weights = {name: ramp(epoch, start) * cfg.weight(name) for name, start, _ in table}
         sums = {key: 0.0 for key in loss_keys}
         total_sum = 0.0
+        right = 0  # source-batch rows the ss traces classify right
         for _ in range(n_batch):
             grad.fill(0.0)
             src = []
@@ -574,6 +578,7 @@ def train(
                 idx = stream.next()
                 x = s.features[idx]
                 src.append((x, s.labels[idx], forward(params, x)))
+            right += sum(np.count_nonzero(np.argmax(t.probs, axis=1) == y) for _, y, t in src)
             tgt_x = target.features[tgt_stream.next()]
             tgt = forward(params, tgt_x) if need_target_trace else None
 
@@ -600,13 +605,12 @@ def train(
         losses = {key: sums[key] / n_batch for key in loss_keys}
         if any(not np.isfinite(v) for v in losses.values()):
             raise NumericError(f"non-finite loss in epoch {epoch}: {losses}")
-        source_acc = float((predict(params, pooled_x) == pooled_y).mean())
         history.records.append(
             EpochRecord(
                 epoch=epoch,
                 losses=losses,
                 total=total_sum / n_batch,
-                source_train_accuracy=source_acc,
+                source_train_accuracy=right / (n_batch * cfg.batch_size * len(sources)),
             )
         )
     return params, history

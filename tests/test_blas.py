@@ -51,7 +51,7 @@ def record_threads(monkeypatch, threads, module, name):
 
 
 def tiny_run():
-    """A two-epoch generator-sampler run: every step kind and two predicts."""
+    """A two-epoch generator-sampler run: every step kind."""
     spec = BlobSpec(classes=(((-2.0, 0.0), 0.4), ((2.0, 0.0), 0.4)), samples_per_class=40)
     source = make_blobs(spec, "d0")
     cfg = TrainConfig(
@@ -106,10 +106,10 @@ def test_generator_loss_is_bit_equal_with_and_without_the_cap():
 def test_train_runs_every_step_on_one_thread_and_restores_the_count(threads, monkeypatch):
     seen = {
         name: record_threads(monkeypatch, threads, trainer, name)
-        for name in ("backward", "generator_loss", "predict")
+        for name in ("backward", "generator_loss")
     }
     trainer.train(*tiny_run())
-    assert seen == {"backward": {1}, "generator_loss": {1}, "predict": {1}}
+    assert seen == {"backward": {1}, "generator_loss": {1}}
     assert threads() == 2
 
 

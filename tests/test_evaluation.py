@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from contradist.errors import ValidationError
+from contradist.errors import ShapeError, ValidationError
 from contradist.evaluation import (
     CHUNK_ROWS,
     MAX_RESOLUTION,
@@ -44,6 +44,22 @@ class TestPredict:
         shifted = params.copy()
         shifted.biases[-1] += 7.5  # same constant for every class
         assert np.array_equal(predict(shifted, x), before)
+
+    @pytest.mark.parametrize(
+        "x, error",
+        [
+            (np.zeros((0, 3)), ShapeError),
+            (np.zeros((4, 3)), ShapeError),
+            (np.zeros(2), ShapeError),
+            (np.float64(1.0), ShapeError),
+            (np.zeros((2, 2, 2)), ShapeError),
+            (np.full((3, 2), np.nan), ValidationError),
+        ],
+        ids=["no-rows-wrong-width", "wrong-width", "1-d", "0-d", "3-d", "non-finite"],
+    )
+    def test_refuses_what_forward_refuses(self, x, error):
+        with pytest.raises(error):
+            predict(zero_net(), x)
 
     def test_matches_argmax_loop_oracle(self):
         from contradist.model import forward
@@ -120,8 +136,9 @@ class TestContourGrid:
 
     def test_grid_predictions_match_predict(self):
         params = init_params([2, 8, 3], 7)
-        grid = contour_grid(params, (-2.0, 2.0, -2.0, 2.0), 5)
-        assert np.array_equal(grid.preds, predict(params, grid.points))
+        for resolution in (5, 100):  # 100**2 rows: more than CHUNK_ROWS
+            grid = contour_grid(params, (-2.0, 2.0, -2.0, 2.0), resolution)
+            assert np.array_equal(grid.preds, predict(params, grid.points))
 
     def test_probs_rows_sum_to_one(self):
         params = init_params([2, 8, 4], 8)

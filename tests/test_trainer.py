@@ -6,9 +6,10 @@ from dataclasses import FrozenInstanceError, asdict, replace
 import numpy as np
 import pytest
 
-from contradist import model, trainer
+from contradist import evaluation, model, trainer
 from contradist.dataset import BlobSpec, DomainDataset, make_blobs, split
 from contradist.errors import ValidationError
+from contradist.evaluation import predict
 from contradist.losses import MmdConfig, kernel_mmd
 from contradist.model import ModelParams, backward, forward, hidden_pass, init_params
 from contradist.rng import Rng
@@ -128,6 +129,22 @@ class TestConfigValidation:
         # a generator that ta does not use is never built
         no_ta = TrainConfig(**{**gen, "terms": ("ss", "tu")}, batch_size=2**11 + 1)
         assert validate_inputs(no_ta, [src], tgt) == 2
+
+    def test_network_size_cap_counts_the_data_widths(self):
+        # 200000 features (6.4 MB of data) pass every batch cap at batch 4; the
+        # config alone counts (1, 64, 1), but the data make it (200000, 64, 2)
+        d = 200_000
+        src = DomainDataset(np.zeros((2, d)), np.array([0, 1]))
+        tgt = DomainDataset(np.zeros((2, d)))
+        with pytest.raises(ValidationError, match="widths give at least 12800194 parameters"):
+            validate_inputs(TrainConfig(batch_size=4, hidden_dims=(64,)), [src], tgt)
+        # the stepped generator's output width is the feature count
+        gen = GeneratorSettings(noise_dim=4, hidden_dims=(64,))
+        cfg = TrainConfig(batch_size=4, hidden_dims=(8,), terms=("ss", "ta"), fake_sampler=gen)
+        with pytest.raises(ValidationError, match="width give at least 13000320 parameters"):
+            validate_inputs(cfg, [src], tgt)
+        # a generator that ta does not use is never built, so never counted
+        assert validate_inputs(replace(cfg, terms=("ss", "tu")), [src], tgt) == 2
 
     def test_dict_round_trip(self):
         cfg = quick_cfg(fake_sampler=GeneratorSettings(noise_dim=3), term_weights={"tu": 0.5})
@@ -265,6 +282,28 @@ class TestTrain:
         cfg = quick_cfg(terms=("ss",), epochs=25)
         params, history = train(cfg, [src], tgt.without_labels())
         assert history.records[-1].source_train_accuracy >= 0.99
+
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    def test_source_accuracy_counts_the_epochs_batches(self, n_sources):
+        # 32 rows per source at batch 16: each source row is drawn once per
+        # epoch, and with lr 0 every step sees the initial model
+        src, tgt = toy_domains(samples=16, rotation=30.0)
+        sources = [src, DomainDataset(src.features + 1.0, src.labels.copy(), "d2")][:n_sources]
+        params, history = train(quick_cfg(lr=0.0, epochs=3), sources, tgt.without_labels())
+        x = np.vstack([s.features for s in sources])
+        y = np.concatenate([s.labels for s in sources])
+        want = (predict(params, x) == y).mean()
+        assert 0.0 < want < 1.0
+        assert [rec.source_train_accuracy for rec in history.records] == [want] * 3
+
+    def test_training_runs_no_evaluation_pass(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train ran a pass through evaluation")
+
+        monkeypatch.setattr(evaluation, "forward", refuse)
+        src, tgt = toy_domains()
+        _, history = train(quick_cfg(epochs=2), [src], tgt.without_labels())
+        assert len(history.records) == 2
 
     def test_zero_lr_never_changes_params(self):
         src, tgt = toy_domains()
