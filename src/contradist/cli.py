@@ -5,6 +5,10 @@ its resolved configuration into the output directory so a run can be
 reproduced from the config file plus the seed.  Flags override config-file
 fields.  Exit codes: 0 success, 1 validation error or a path that names
 no file, 2 runtime/numeric error.
+
+Each command imports only the modules it runs: gen-data loads no network
+code, eval and contour no trainer, and only sweep loads the process pool,
+after every module its cells run, so no forked worker imports one.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ import json
 import os
 import sys
 import time
-import traceback
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,10 +49,10 @@ from .errors import (
     ValidationError,
     check_keys,
 )
-from .evaluation import compute_metrics, contour_grid, default_bounds, predict, save_contour_csv
 from .files import write_atomic
-from .model import load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, train, train_config_from_dict, validate_inputs
+
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 SCHEMA_VERSION = 1
 THREADS_ENV = "CONTRADIST_THREADS"
@@ -199,6 +202,8 @@ _TRAIN_FLAGS = (
 
 
 def _train_config_from_args(args, file_train: dict) -> TrainConfig:
+    from .trainer import train_config_from_dict
+
     train = {**file_train, **_given_flags(args, _TRAIN_FLAGS)}
     if args.fake_sampler == "gaussian":
         train["fake_sampler"] = "gaussian_input"
@@ -224,6 +229,10 @@ def _train_and_score(
     labeled with the sources' classes (cmd_train checks before it writes,
     preset cells always are).
     """
+    from .evaluation import compute_metrics, predict
+    from .model import save_checkpoint
+    from .trainer import train
+
     target_train, target_test = target
     params, history = train(cfg, [tr for tr, _ in sources], target_train.without_labels())
 
@@ -249,6 +258,8 @@ _RUN_FLAGS = {
 
 
 def cmd_train(args) -> int:
+    from .trainer import validate_inputs
+
     file_cfg = _load_config_file(args.config)
     _check_config(file_cfg, _TRAIN_TYPES, "train config file")
     run = {key: file_cfg.get(key) for key in _RUN_FLAGS} | _given_flags(args, _RUN_FLAGS)
@@ -288,6 +299,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import compute_metrics, predict
+    from .model import load_checkpoint
+
     params = load_checkpoint(args.checkpoint)
     ds = load_csv(args.data, k=params.num_classes)
     if ds.labels is None:
@@ -300,6 +314,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_contour(args) -> int:
+    from .evaluation import contour_grid, default_bounds, save_contour_csv
+    from .model import load_checkpoint
+
     params = load_checkpoint(args.checkpoint)
     if args.bounds is not None and len(args.bounds) != 4:
         raise ValidationError("--bounds needs x_min,x_max,y_min,y_max")
@@ -335,6 +352,8 @@ def build_cell(
     out_dir: str,
 ) -> Cell:
     """A checked cell; `section` is a config file's train section, less its seed."""
+    from .trainer import train_config_from_dict
+
     specs = preset_domains(preset, seed, samples_per_class)
     for spec in specs.values():  # every class of a preset domain has the same size
         train_rows(spec.samples_per_class, CELL_TRAIN_FRACTION)
@@ -356,6 +375,8 @@ def _run_sweep_cell(cell: Cell) -> dict:
             cell.cfg, [datasets[source]], datasets[target], cell.out_dir
         )
     except Exception as exc:
+        import traceback
+
         return {
             "ok": False,
             "cell": cell.out_dir,
@@ -379,12 +400,27 @@ def cell_workers() -> int:
     return workers
 
 
+# The sweep pool's class, bound by run_cells on first use: concurrent.futures
+# loads multiprocessing, logging and traceback, which no other command runs.
+# run_cells reads this global at call time, so a caller may swap in its own
+# class (perfbench's tracer does).
+ProcessPoolExecutor = None
+
+
 def run_cells(cells: list[Cell], workers: int) -> list[dict]:
     """Every cell's _run_sweep_cell result, in cell order: run in this
     process with one worker, else in a fork pool of that many workers."""
+    global ProcessPoolExecutor
+    # every module a cell runs loads here, so no forked worker compiles one
+    import traceback  # noqa: F401
+
+    from . import evaluation, trainer  # noqa: F401
+
     workers = min(workers, len(cells))
     if workers <= 1:
         return [_run_sweep_cell(cell) for cell in cells]
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_sweep_cell, cells))
 

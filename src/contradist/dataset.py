@@ -209,7 +209,10 @@ def split(
     if ds.labels is None:
         groups = [np.arange(ds.n)]
     else:
-        groups = [np.flatnonzero(ds.labels == c) for c in np.unique(ds.labels)]
+        # the classes present, ascending (return_inverse: np.unique then skips
+        # its masked-array check, which would load numpy.ma)
+        classes, inverse = np.unique(ds.labels, return_inverse=True)
+        groups = [np.flatnonzero(inverse == i) for i in range(len(classes))]
     train_idx, test_idx = [], []
     for idx in groups:
         n_c = idx.shape[0]

@@ -12,23 +12,27 @@ import numpy as np
 from .blas import one_thread
 from .dataset import write_rows
 from .errors import ValidationError
-from .model import ModelParams, forward
+from .model import MAX_BATCH_ENTRIES, ModelParams, forward
 
 # Every whole-set pass, predict's and the contour grid's, runs CHUNK_ROWS rows
 # at a time, so only the rows and their probabilities grow with the set, not
-# the hidden activations.  The resolution is capped before the grid exists.
+# the hidden activations.  A layer wider than MAX_BATCH_ENTRIES / CHUNK_ROWS
+# = 512 units gets fewer rows per chunk, so that no array of a chunk holds
+# more than MAX_BATCH_ENTRIES entries.  The resolution is capped before the
+# grid exists.
 MAX_RESOLUTION = 1000
 CHUNK_ROWS = 8192
 
 
 @one_thread()
 def _probs(params: ModelParams, x) -> np.ndarray:
-    """forward's probabilities for the rows of x, CHUNK_ROWS rows at a time."""
+    """forward's probabilities for the rows of x, one chunk at a time."""
     x = np.asarray(x, dtype=np.float64)
     n = len(x) if x.ndim == 2 else 0
+    rows = min(CHUNK_ROWS, max(1, MAX_BATCH_ENTRIES // max(params.layer_dims)))
     probs = np.empty((n, params.num_classes))
-    for i in range(0, max(n, 1), CHUNK_ROWS):  # once at least, so forward checks every x
-        probs[i : i + CHUNK_ROWS] = forward(params, x[i : i + CHUNK_ROWS] if n else x).probs
+    for i in range(0, max(n, 1), rows):  # once at least, so forward checks every x
+        probs[i : i + rows] = forward(params, x[i : i + rows] if n else x).probs
     return probs
 
 
@@ -123,8 +127,10 @@ def default_bounds(
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != 2:
         raise ValidationError("default bounds need 2-D features")
-    x_min, y_min = features.min(axis=0)
-    x_max, y_max = features.max(axis=0)
+    # Python floats: a span that overflows becomes inf without a NumPy
+    # warning, and contour_grid refuses it with one error
+    x_min, y_min = features.min(axis=0).tolist()
+    x_max, y_max = features.max(axis=0).tolist()
     dx = (x_max - x_min) * margin
     dy = (y_max - y_min) * margin
     return (x_min - dx, x_max + dx, y_min - dy, y_max + dy)

@@ -32,6 +32,11 @@ from .rng import Rng
 _MAGIC = b"CDST"
 _FORMAT_VERSION = 1
 
+# The most entries one float64 array of a pass may hold: a training step's
+# batch (trainer.validate_inputs checks it) and a whole-set chunk
+# (evaluation sizes its chunks by it).  At 2**22 entries an array takes 32 MB.
+MAX_BATCH_ENTRIES = 2**22
+
 
 def _checked_dims(layer_dims) -> tuple[int, ...]:
     dims = tuple(int(d) for d in layer_dims)

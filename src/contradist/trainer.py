@@ -51,7 +51,15 @@ from .losses import (
     kernel_mmd,
     pseudo_label_select,
 )
-from .model import Gradients, ModelParams, backward, forward, hidden_pass, init_params
+from .model import (
+    MAX_BATCH_ENTRIES,
+    Gradients,
+    ModelParams,
+    backward,
+    forward,
+    hidden_pass,
+    init_params,
+)
 from .rng import Rng, derive_seed
 
 TERMS = ("ss", "su", "tu", "sa", "ta")
@@ -84,14 +92,6 @@ MAX_PARAMS = 10**7
 # up from fresh permutations of its domain, so it can hold batch_size int64
 # indices (512 KB at the cap) on top of the batch's own rows.
 MAX_BATCH_SIZE = 2**16
-
-# The most entries one float64 array of a training step may hold.  A batch's
-# activations are batch_size rows by a layer's width (the data's features and
-# classes included), and with the generator each kernel_mmd block is
-# batch_size by batch_size.  At 2**22 entries an array takes 32 MB, and a
-# step keeps a few per layer and per batch.  The data fix the input and
-# output widths, so validate_inputs checks it, before training allocates.
-MAX_BATCH_ENTRIES = 2**22
 
 
 def _check_size(layer_dims: tuple[int, ...], what: str) -> None:
@@ -458,6 +458,10 @@ def validate_inputs(
         raise ValidationError("need at least 2 classes across the sources")
     if not isinstance(cfg.prior, str) and len(cfg.prior) != k:
         raise ValidationError(f"given prior has {len(cfg.prior)} classes, sources have {k}")
+    # MAX_BATCH_ENTRIES bounds each float64 array of a step, and a step keeps
+    # a few per layer and per batch.  A batch's activations are batch_size rows
+    # by a layer's width (the data fix the input and output widths), and with
+    # the generator each kernel_mmd block is batch_size by batch_size.
     widths = (d, *cfg.hidden_dims, k)
     gs = _stepped_generator(cfg)
     if gs is not None:

@@ -737,6 +737,29 @@ class TestSweep:
         assert "in flaky" in failures[0]["traceback"]
         assert "cell failed:" in capsys.readouterr().err
 
+    def test_run_cells_builds_its_pool_from_the_module_global(self, tmp_path, monkeypatch):
+        # perfbench's tracer swaps cli.ProcessPoolExecutor; run_cells must read it
+        from concurrent.futures import ProcessPoolExecutor
+
+        import contradist.cli as cli
+
+        built = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cells = [
+            cli.build_cell("aligned", ("d0", "d1"), seed, 10, {"epochs": 1, "terms": ["ss"]},
+                           str(tmp_path / f"s{seed}"))
+            for seed in (1, 2)
+        ]
+        results = cli.run_cells(cells, 2)
+        assert built == [{"max_workers": 2}]
+        assert [res["ok"] for res in results] == [True, True]
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
@@ -747,23 +770,26 @@ class TestTopLevel:
         assert main(["gen-data", "--bogus"]) == 1
 
     @pytest.mark.parametrize(
-        "step, argv",
+        "step, argv",  # step: the function that runs out, where the command looks it up
         [
-            ("make_blobs", ["gen-data", "--preset", "aligned", "--out", "{out}"]),
-            ("train", ["train", "--data-dir", "{data}", "--sources", "d0", "--target", "d1",
-                       "--out", "{out}"]),
-            ("predict", ["eval", "--checkpoint", "{ckpt}", "--data", "{data}/d0_test.csv"]),
-            ("contour_grid", ["contour", "--checkpoint", "{ckpt}", "--bounds=-1,1,-1,1",
-                              "--out", "{out}/contour.csv"]),
-            ("preset_domains", ["sweep", "--presets", "aligned", "--term-sets", "ss",
-                                "--seeds", "1", "--out", "{out}"]),
+            ("contradist.cli.make_blobs", ["gen-data", "--preset", "aligned", "--out", "{out}"]),
+            ("contradist.trainer.train",
+             ["train", "--data-dir", "{data}", "--sources", "d0", "--target", "d1",
+              "--out", "{out}"]),
+            ("contradist.evaluation.predict",
+             ["eval", "--checkpoint", "{ckpt}", "--data", "{data}/d0_test.csv"]),
+            ("contradist.evaluation.contour_grid",
+             ["contour", "--checkpoint", "{ckpt}", "--bounds=-1,1,-1,1",
+              "--out", "{out}/contour.csv"]),
+            ("contradist.cli.preset_domains",
+             ["sweep", "--presets", "aligned", "--term-sets", "ss", "--seeds", "1",
+              "--out", "{out}"]),
         ],
         ids=["gen-data", "train", "eval", "contour", "sweep"],
     )
     def test_out_of_memory_is_a_one_line_error_exit_2(
         self, tmp_path, monkeypatch, capsys, step, argv
     ):
-        import contradist.cli as cli
         from contradist.model import init_params, save_checkpoint
 
         data_dir = gen(tmp_path, samples=10)
@@ -774,7 +800,7 @@ class TestTopLevel:
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 65.5 TiB for an array")
 
-        monkeypatch.setattr(cli, step, out_of_memory)
+        monkeypatch.setattr(step, out_of_memory)
         paths = {"out": str(tmp_path / "out"), "data": str(data_dir), "ckpt": str(ckpt)}
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert_one_line_error(capsys, "out of memory: Unable to allocate 65.5 TiB")
@@ -803,6 +829,61 @@ class TestTopLevel:
         monkeypatch.setattr(cli, "make_blobs", out_of_memory)
         assert main(["gen-data", "--preset", "aligned", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+# What each command must not load: gen-data runs no network, eval and
+# contour run no training, and only sweep starts a process pool.
+NOT_LOADED_AFTER = {
+    "gen-data": {
+        "contradist.model", "contradist.evaluation", "contradist.blas", "contradist.trainer",
+        "contradist.losses", "concurrent.futures.process", "multiprocessing", "traceback",
+    },
+    "eval": {"contradist.trainer", "contradist.losses", "concurrent.futures.process",
+             "multiprocessing"},
+    "contour": {"contradist.trainer", "contradist.losses", "concurrent.futures.process",
+                "multiprocessing"},
+    "train": {"concurrent.futures.process", "multiprocessing"},
+}
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from contradist.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([argv[0], code, sorted(sys.modules)]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    import subprocess
+    import sys
+
+    import contradist
+    from contradist.model import init_params, save_checkpoint
+
+    data_dir = gen(tmp_path, samples=10)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(init_params([2, 4, 2], 0), ckpt)
+    runs = [
+        ["gen-data", "--preset", "aligned", "--samples-per-class", "10",
+         "--out", str(tmp_path / "gen")],
+        ["eval", "--checkpoint", str(ckpt), "--data", str(data_dir / "d0_test.csv")],
+        ["contour", "--checkpoint", str(ckpt), "--data", str(data_dir / "d1_train.csv"),
+         "--resolution", "10", "--out", str(tmp_path / "contour.csv")],
+        ["train", "--data-dir", str(data_dir), "--sources", "d0", "--target", "d1",
+         "--epochs", "1", "--out", str(tmp_path / "run")],
+    ]
+    src = str(Path(contradist.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    seen = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [command for command, _, _ in seen] == list(NOT_LOADED_AFTER)
+    for command, code, modules in seen:
+        assert code == 0, command
+        assert not NOT_LOADED_AFTER[command] & set(modules), command
 
 
 BLOB = {"classes": [{"center": [-1, 0], "std": 0.3}, {"center": [1, 0], "std": 0.3}],
@@ -835,6 +916,7 @@ NO_SUCH_FILE = "No such file or directory"
          "resolution must lie in [2, 1000], got 100000"),
         (None, [*CONTOUR, "--bounds=-inf,inf,0,1"], "bounds and their spans"),
         (None, [*CONTOUR, "--bounds=0,1,-1e308,1e308"], "bounds and their spans"),
+        (None, [*CONTOUR, "--data", "{wide}"], "bounds and their spans"),
         (None, [*SWEEP, "--seeds", "a"], "--seeds: invalid literal for int()"),
         ({**TRAIN_PATHS, "train": {"epochs": 2.7}}, TRAIN,
          "bad train config value for 'epochs': expected an integer, got 2.7"),
@@ -936,6 +1018,7 @@ NO_SUCH_FILE = "No such file or directory"
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
         "domains-list", "gen-data-seed-str", "gen-data-fraction-str", "contour-bounds-str",
         "contour-resolution-cap", "contour-bounds-infinite", "contour-span-overflow",
+        "contour-data-span-overflow",
         "sweep-seeds-str", "train-epochs-fraction", "train-seed-bool",
         "train-batch-size-fraction", "generator-noise-dim-fraction",
         "blob-samples-per-class-fraction", "blob-seed-fraction", "blob-seed-bool",
@@ -963,7 +1046,9 @@ def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, m
     cfg, ckpt, out = tmp_path / "cfg.json", tmp_path / "model.ckpt", tmp_path / "out"
     cfg.write_text(json.dumps({"schema_version": 1, **(config or {})}))
     save_checkpoint(init_params([2, 4, 2], 0), ckpt)
-    paths = {"cfg": str(cfg), "ckpt": str(ckpt), "out": str(out)}
+    wide = tmp_path / "wide.csv"  # finite rows whose f1 span overflows a float64
+    wide.write_text("f0,f1,label\n0.5,1.0,0\n0.7,1e308,1\n0.1,-1e308,0\n")
+    paths = {"cfg": str(cfg), "ckpt": str(ckpt), "out": str(out), "wide": str(wide)}
     assert main([arg.format(**paths) for arg in argv]) == 1
     assert_one_line_error(capsys, message)
     assert not out.exists()

@@ -17,7 +17,7 @@ from contradist.evaluation import (
     predict,
     save_contour_csv,
 )
-from contradist.model import forward, init_params
+from contradist.model import MAX_BATCH_ENTRIES, forward, init_params
 from helpers import load_hash_grid, net_with_biases
 
 # SHA-256 of the contour.csv pinned below, and the build that recorded it
@@ -223,6 +223,26 @@ class TestContourGrid:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_wide_layer_runs_in_fewer_rows_per_chunk(self):
+        """An 8192-unit layer gets MAX_BATCH_ENTRIES // 8192 = 512 rows per
+        chunk: predict is a forward's over 512-row slices, and the traced peak
+        holds one such chunk's hidden activations, its softmax arrays, the
+        probabilities and predictions of every row, and 1 MiB for the rest."""
+        params, n, width = init_params([2, 8192, 2], 3), 1024, 8192
+        rows, k, f64 = MAX_BATCH_ENTRIES // width, params.num_classes, 8
+        assert rows == 512 and n > rows
+        x = np.random.default_rng(4).normal(size=(n, 2))
+        sliced = np.vstack([forward(params, x[i : i + rows]).probs for i in range(0, n, rows)])
+        bound = f64 * (rows * width + 3 * rows * k + n * (k + 1)) + 2**20
+        tracemalloc.start()
+        try:
+            preds = predict(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(preds, np.argmax(sliced, axis=1))
+        assert peak < bound  # one chunk of all 1024 rows would hold twice the activations
 
     def test_csv_exact_bytes(self, tmp_path):
         points = np.array([[-1.0, 0.0], [0.5, 0.0], [-1.0, 2.0], [0.5, 2.0]])
