@@ -4,7 +4,7 @@ Subcommands: gen-data, train, eval, contour, sweep.  Every command echoes
 its resolved configuration into the output directory so a run can be
 reproduced from the config file plus the seed.  Flags override config-file
 fields.  Exit codes: 0 success, 1 validation error or a path that names
-no file, 2 runtime/numeric error.
+no file or a file of the wrong kind, 2 runtime/numeric error.
 
 Each command imports only the modules it runs: gen-data loads no network
 code, eval and contour no trainer, and only sweep loads the process pool,
@@ -561,7 +561,10 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return int(args.func(args) or 0)
-    except (ValidationError, CsvParseError, ShapeError, FileNotFoundError) as exc:
+    except (
+        ValidationError, CsvParseError, ShapeError,
+        FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,
+    ) as exc:  # the last four: a path that names no file, or one of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericError, CheckpointError, OSError) as exc:

@@ -21,9 +21,10 @@ from .rng import Rng, derive_seed
 
 
 # The most rows a blob spec may draw per class.  make_blobs draws two normals
-# per row and keeps 2 features and a label, 40 B a row; training then passes
-# a whole split through the classifier each epoch, 512 B a row per 64-wide
-# hidden layer.  At 10**5 rows per class that is 4 MB and 51 MB per class.
+# per row and keeps 2 features and a label, 40 B a row: 4 MB per class at
+# 10**5 rows.  Scoring after training and eval pass a whole split through the
+# classifier in evaluation.CHUNK_ROWS-row chunks, so past one chunk's
+# activations only the rows' K class probabilities, 8 * K bytes a row, grow.
 MAX_SAMPLES_PER_CLASS = 10**5
 
 

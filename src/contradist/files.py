@@ -25,7 +25,10 @@ def write_atomic(path: str | os.PathLike, chunks: Iterable[str | bytes]) -> None
         with fh:
             for chunk in chunks:
                 fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # likewise, when path names a directory
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -33,23 +33,6 @@ class LossValue:
             raise NumericError("loss gradient contains non-finite values")
 
 
-@dataclass
-class MmdLossValue:
-    """Squared kernel mean discrepancy with its gradient for the first set."""
-
-    value: float
-    d_emb_a: np.ndarray
-    gamma: float
-
-
-@dataclass
-class PseudoLabels:
-    """Selected class per unlabeled sample, with the selection scores."""
-
-    labels: np.ndarray  # (n,) int64
-    scores: np.ndarray  # (n, K)
-
-
 @dataclass(frozen=True)
 class MmdConfig:
     """Gaussian-kernel bandwidth: explicit gamma or the median heuristic."""
@@ -88,8 +71,8 @@ def ce_loss(trace: ForwardTrace, labels: np.ndarray) -> LossValue:
     return LossValue(value, dlogits)
 
 
-def pseudo_label_select(probs: np.ndarray, priors: Priors) -> PseudoLabels:
-    """Pick a class per sample by prior-scaled, batch-normalized probability.
+def pseudo_label_select(probs: np.ndarray, priors: Priors) -> np.ndarray:
+    """The (n,) int64 class per sample, by prior-scaled, batch-normalized probability.
 
     score[j, k] = probs[j, k] * priors[k] / sum_l probs[l, k], the column sum
     running over the current batch (including j).  The label is the argmax
@@ -110,15 +93,15 @@ def pseudo_label_select(probs: np.ndarray, priors: Priors) -> PseudoLabels:
             f"class column {dead} sums to zero; cannot normalize selection scores"
         )
     scores = probs * priors.probs / col_sums
-    return PseudoLabels(np.argmax(scores, axis=1).astype(np.int64), scores)
+    return np.argmax(scores, axis=1).astype(np.int64)
 
 
 def contradistinguish_loss(
-    trace: ForwardTrace, pseudo: PseudoLabels, priors: Priors
+    trace: ForwardTrace, labels: np.ndarray, priors: Priors
 ) -> LossValue:
     """Unsupervised objective that separates each sample from the batch.
 
-    With pseudo-labels y_j held fixed,
+    With the pseudo-labels y_j = labels[j] held fixed,
 
         value = -(1/n) [ sum_j log p(y_j|x_j) + sum_j log prior[y_j]
                          - sum_j log sum_l p(y_j|x_l) ]
@@ -131,7 +114,7 @@ def contradistinguish_loss(
     and the loss costs O(n K) rather than O(n^2).
     """
     n, k = trace.logits.shape
-    labels = _check_labels(pseudo.labels, n, k)
+    labels = _check_labels(labels, n, k)
     logp = trace.log_probs
     rows = np.arange(n)
 
@@ -202,8 +185,9 @@ def _median(values: np.ndarray) -> float:
     return float((p[:h].max() + p[h]) / 2.0)
 
 
-def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossValue:
-    """Squared MMD between two embedding sets under a Gaussian kernel.
+def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> tuple[float, np.ndarray]:
+    """Squared MMD between two embedding sets under a Gaussian kernel, and
+    its gradient with respect to emb_a: (value, d_emb_a).
 
     k(x, x') = exp(-gamma * ||x - x'||^2); the V-statistic keeps the i = j
     diagonal, so identical multisets give zero up to rounding.  The a-a,
@@ -220,7 +204,7 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossV
 
     Only emb_a's gradient is computed; the trainer reads no other.  MMD^2
     and the median-heuristic gamma are symmetric in the two sets, so the
-    gradient for emb_b is kernel_mmd(emb_b, emb_a, cfg).d_emb_a.
+    gradient for emb_b is kernel_mmd(emb_b, emb_a, cfg)[1].
     """
     emb_a = np.asarray(emb_a, dtype=np.float64)
     emb_b = np.asarray(emb_b, dtype=np.float64)
@@ -259,14 +243,15 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> MmdLossV
         - (k_aa @ emb_a) / n_a
         + (k_ab @ emb_b) / n_b
     )
-    return MmdLossValue(value, d_emb_a, gamma)
+    return value, d_emb_a
 
 
 def multi_source_supervised(per_source_losses: Sequence[LossValue]) -> LossValue:
     """Total supervised loss over several source domains: element-wise sums.
 
-    All gradients must share one shape (equal batch size and class count);
-    the trainer guarantees this by drawing equally sized batches.
+    All gradients must share one shape (equal batch size and class count).
+    train() does not call it: it backpropagates each source's ce_loss on its
+    own.  It stays only because the benchmark's tracer wraps it by name.
     """
     if not per_source_losses:
         raise ValidationError("need at least one per-source loss")

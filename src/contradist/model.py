@@ -6,7 +6,8 @@ as the network output and never touch ``probs``.
 
 All parameters live in one contiguous float64 vector, ``flat``, in the order
 ``W0, b0, W1, b1, ...`` (weights row-major); ``weights[l]`` and ``biases[l]``
-are reshaped views into it.  Gradients share the layout.
+are reshaped views into it.  backward returns the parameter gradient as one
+vector in that layout.
 
 A pass allocates one float array per layer result that it returns or keeps
 (an activation, the logits, log_probs and probs, a backpropagated delta)
@@ -109,16 +110,6 @@ class ForwardTrace:
     probs: np.ndarray
 
 
-@dataclass
-class Gradients:
-    """Parameter gradients in ModelParams' layout (flat, with views), plus the input's."""
-
-    flat: np.ndarray
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    inputs: np.ndarray
-
-
 def init_params(layer_dims, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     dims = _checked_dims(layer_dims)
@@ -164,8 +155,13 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x, acts, logits, log_probs, probs)
 
 
-def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -> Gradients:
-    """Exact gradients of a scalar loss whose logit gradient is dl_dlogits."""
+def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -> np.ndarray:
+    """Exact parameter gradient of a scalar loss whose logit gradient is
+    dl_dlogits, as one vector in flat's layout (W0, b0, W1, b1, ...).
+
+    It stops at the first layer's parameters: the gradient with respect to
+    the inputs, one more product, is not computed, since no caller reads it.
+    """
     dl_dlogits = np.asarray(dl_dlogits, dtype=np.float64)
     if dl_dlogits.shape != trace.logits.shape:
         raise ShapeError(
@@ -178,10 +174,10 @@ def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -
         a_prev = trace.activations[l - 1] if l > 0 else trace.inputs
         np.matmul(a_prev.T, delta, out=d_weights[l])
         delta.sum(axis=0, out=d_biases[l])
-        delta = delta @ params.weights[l].T
         if l > 0:
+            delta = delta @ params.weights[l].T
             delta *= a_prev > 0.0  # a ReLU output is > 0 where its input is
-    return Gradients(flat, d_weights, d_biases, delta)
+    return flat
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -53,7 +53,6 @@ from .losses import (
 )
 from .model import (
     MAX_BATCH_ENTRIES,
-    Gradients,
     ModelParams,
     backward,
     forward,
@@ -75,8 +74,15 @@ def _convert_fields(obj, converters: dict, where: str) -> None:
         object.__setattr__(obj, name, value)
 
 
+def _items(value) -> tuple:
+    """A config list as a tuple; a string would split into characters."""
+    if isinstance(value, str):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
 def _ints(items) -> tuple[int, ...]:
-    return tuple(as_int(h) for h in items)
+    return tuple(as_int(h) for h in _items(items))
 
 
 # The most parameters a config may give a network (classifier or generator).
@@ -199,7 +205,7 @@ _TRAIN_CONVERTERS = {
     "epochs": as_int,
     "lr": as_float,
     "optimizer": str,
-    "terms": tuple,
+    "terms": _items,
     "term_weights": lambda w: _FrozenDict((k, as_float(v)) for k, v in dict(w).items()),
     "prior": lambda p: p if isinstance(p, str) else tuple(as_float(x) for x in p),
     "fake_sampler": _sampler,
@@ -390,8 +396,9 @@ def generator_loss(
     noise: np.ndarray,
     real_emb: np.ndarray,
     mmd_cfg: MmdConfig,
-) -> tuple[float, Gradients]:
-    """Embedding-matching loss for the generator and its parameter gradients.
+) -> tuple[float, np.ndarray]:
+    """Embedding-matching loss for the generator and its parameter gradient,
+    one vector in gen.flat's layout.
 
     real_emb is the real target batch's embedding: the last hidden ReLU
     output of the classifier, ``hidden_pass(clf, batch)[1][-1]``, which
@@ -405,11 +412,10 @@ def generator_loss(
         raise ValidationError("classifier needs a hidden layer to expose an embedding")
     gen_trace = forward(gen, noise)
     _, acts_fake = hidden_pass(clf, gen_trace.logits)
-    mmd = kernel_mmd(acts_fake[-1], real_emb, mmd_cfg)
-    d_fakes = mmd.d_emb_a
+    value, d_fakes = kernel_mmd(acts_fake[-1], real_emb, mmd_cfg)
     for l in range(len(acts_fake) - 1, -1, -1):
         d_fakes = (d_fakes * (acts_fake[l] > 0.0)) @ clf.weights[l].T
-    return mmd.value, backward(gen, gen_trace, d_fakes)
+    return value, backward(gen, gen_trace, d_fakes)
 
 
 def generator_step(
@@ -427,11 +433,11 @@ def generator_step(
     """
     n_f = np.asarray(real_emb).shape[0]
     noise = rng.normal(n_f * gen.input_dim).reshape(n_f, gen.input_dim)
-    value, grads = generator_loss(gen, clf, noise, real_emb, MmdConfig(cfg.mmd_gamma))
+    value, grad = generator_loss(gen, clf, noise, real_emb, MmdConfig(cfg.mmd_gamma))
     w = cfg.weight("gen")
     if w != 0.0:
-        grads.flat *= w
-        optimizer.step(gen.flat, grads.flat)
+        grad *= w
+        optimizer.step(gen.flat, grad)
     return value
 
 
@@ -527,8 +533,8 @@ def train(
         return forward(gen, noise.reshape(cfg.batch_size, gen.input_dim)).logits
 
     def contradist(trace, prior: Priors):
-        pseudo = pseudo_label_select(trace.probs, prior)
-        return trace, contradistinguish_loss(trace, pseudo, prior)
+        labels = pseudo_label_select(trace.probs, prior)
+        return trace, contradistinguish_loss(trace, labels, prior)
 
     def adversarial(fakes: np.ndarray):
         trace = forward(params, fakes)
@@ -593,7 +599,7 @@ def train(
                 for trace, lv in pairs(src, tgt_x, tgt):
                     value += lv.value
                     if w != 0.0:
-                        g = backward(params, trace, lv.dlogits).flat
+                        g = backward(params, trace, lv.dlogits)
                         g *= w
                         grad += g
                 sums[name] += value

@@ -106,6 +106,24 @@ def fd_gradient(fn, x, eps=1e-5):
     return grad
 
 
+def fd_param_gradient(fn, params, eps=1e-5):
+    """Central finite differences of fn() over params.flat, in backward's layout.
+
+    Each evaluation writes a perturbed vector into params.flat; the original
+    values are back in place when this returns.
+    """
+    saved = params.flat.copy()
+
+    def at(flat):
+        params.flat[:] = flat
+        try:
+            return fn()
+        finally:
+            params.flat[:] = saved
+
+    return fd_gradient(at, saved, eps)
+
+
 def max_rel_err(analytic, numeric) -> float:
     """Componentwise |a - f| / max(1, |a|, |f|), reduced with max."""
     analytic = np.asarray(analytic, dtype=np.float64)

@@ -1013,6 +1013,31 @@ NO_SUCH_FILE = "No such file or directory"
          "samples_per_class 1000000000 is more than MAX_SAMPLES_PER_CLASS = 100000"),
         ({"domains": {"a": {**BLOB, "samples_per_class": 100001}}}, GEN,
          "samples_per_class 100001 is more than MAX_SAMPLES_PER_CLASS"),
+        ({**TRAIN_PATHS, "train": {"hidden_dims": "64"}}, [*TRAIN, "--data-dir", "{data}"],
+         "bad train config value for 'hidden_dims': expected a list, got '64'"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {"hidden_dims": "32"}}},
+         [*TRAIN, "--data-dir", "{data}"],
+         "bad fake_sampler value for 'hidden_dims': expected a list, got '32'"),
+        ({**TRAIN_PATHS, "train": {"terms": "ss,tu"}}, [*TRAIN, "--data-dir", "{data}"],
+         "bad train config value for 'terms': expected a list, got 'ss,tu'"),
+        (None, ["train", "--config", "{dir}"], "Is a directory: '{dir}'"),
+        (None, ["eval", "--checkpoint", "{dir}", "--data", "{data}/d0_test.csv"],
+         "Is a directory: '{dir}'"),
+        (TRAIN_PATHS, [*TRAIN, "--data-dir", "{file}"],
+         "Not a directory: '{file}/d0_train.csv'"),
+        (TRAIN_PATHS, ["train", "--config", "{cfg}", "--data-dir", "{data}", "--out", "{file}"],
+         "File exists: '{file}'"),
+        (None, ["gen-data", "--preset", "aligned", "--samples-per-class", "10", "--out", "{file}"],
+         "File exists: '{file}'"),
+        (None, ["sweep", "--presets", "aligned", "--term-sets", "ss", "--seeds", "1",
+                "--samples-per-class", "10", "--out", "{file}"],
+         "File exists: '{file}'"),
+        (None, ["eval", "--checkpoint", "{ckpt}", "--data", "{data}/d0_test.csv",
+                "--out", "{dir}"],
+         "Is a directory: '{dir}'"),
+        (None, ["contour", "--checkpoint", "{ckpt}", "--bounds=-1,1,-1,1", "--resolution", "2",
+                "--out", "{dir}"],
+         "Is a directory: '{dir}'"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -1038,6 +1063,10 @@ NO_SUCH_FILE = "No such file or directory"
         "train-prior-sum", "ta-gaussian-batch-of-one", "sa-batch-of-one",
         "train-batch-size-too-large", "gen-data-samples-per-class-too-large",
         "sweep-samples-per-class-too-large", "blob-samples-per-class-too-large",
+        "train-hidden-dims-str", "generator-hidden-dims-str", "train-terms-str",
+        "train-config-is-dir", "eval-checkpoint-is-dir", "train-data-dir-is-file",
+        "train-out-is-file", "gen-data-out-is-file", "sweep-out-is-file", "eval-out-is-dir",
+        "contour-out-is-dir",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):
@@ -1048,7 +1077,17 @@ def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, m
     save_checkpoint(init_params([2, 4, 2], 0), ckpt)
     wide = tmp_path / "wide.csv"  # finite rows whose f1 span overflows a float64
     wide.write_text("f0,f1,label\n0.5,1.0,0\n0.7,1e308,1\n0.1,-1e308,0\n")
-    paths = {"cfg": str(cfg), "ckpt": str(ckpt), "out": str(out), "wide": str(wide)}
+    # paths of the wrong kind, and a data directory whose splits load
+    adir, afile, data = tmp_path / "adir", tmp_path / "afile", tmp_path / "data"
+    adir.mkdir()
+    afile.write_text("kept\n")
+    data.mkdir()
+    for name in ("d0_train", "d0_test", "d1_train", "d1_test"):
+        (data / f"{name}.csv").write_text("f0,f1,label\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n")
+    paths = {"cfg": str(cfg), "ckpt": str(ckpt), "out": str(out), "wide": str(wide),
+             "dir": str(adir), "file": str(afile), "data": str(data)}
     assert main([arg.format(**paths) for arg in argv]) == 1
-    assert_one_line_error(capsys, message)
+    assert_one_line_error(capsys, message.format(**paths))
     assert not out.exists()
+    assert list(adir.iterdir()) == [] and afile.read_text() == "kept\n"
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -34,3 +34,13 @@ def test_missing_directory_raises_and_writes_nothing(tmp_path):
     with pytest.raises(FileNotFoundError):
         write_atomic(tmp_path / "missing" / "out.txt", ["x"])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_directory_at_path_is_named_alone_and_no_temp_file_is_left(tmp_path):
+    path = tmp_path / "adir"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_atomic(path, ["x"])
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert ".tmp" not in str(info.value)
+    assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == []

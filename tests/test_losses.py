@@ -12,8 +12,8 @@ from contradist.errors import NumericError, ShapeError, ValidationError
 from contradist.losses import (
     LossValue,
     MmdConfig,
-    PseudoLabels,
     _median,
+    _sq_dists,
     adv_multilabel_loss,
     ce_loss,
     contradistinguish_loss,
@@ -76,7 +76,6 @@ class TestCeLoss:
 def select_oracle(probs, priors):
     """Brute-force double loop over (sample, class)."""
     n, k = probs.shape
-    scores = np.zeros((n, k))
     labels = np.zeros(n, dtype=np.int64)
     for j in range(n):
         best = -1.0
@@ -84,32 +83,26 @@ def select_oracle(probs, priors):
             denom = 0.0
             for l in range(n):
                 denom += probs[l, c]
-            scores[j, c] = probs[j, c] * priors.probs[c] / denom
-            if scores[j, c] > best:
-                best = scores[j, c]
+            score = probs[j, c] * priors.probs[c] / denom
+            if score > best:
+                best = score
                 labels[j] = c
-    return labels, scores
+    return labels
 
 
 class TestPseudoLabelSelect:
     def test_uniform_prior_example(self):
         probs = np.array([[0.8, 0.2], [0.4, 0.6]])
-        out = pseudo_label_select(probs, uniform2)
-        assert np.allclose(out.scores, [[1 / 3, 0.125], [1 / 6, 0.375]], atol=1e-4)
-        assert out.labels.tolist() == [0, 1]
+        assert pseudo_label_select(probs, uniform2).tolist() == [0, 1]
 
     def test_skewed_prior_flips_second_sample(self):
         probs = np.array([[0.8, 0.2], [0.4, 0.6]])
-        out = pseudo_label_select(probs, Priors(np.array([0.9, 0.1])))
-        assert out.scores[1, 0] == pytest.approx(0.3, abs=1e-12)
-        assert out.scores[1, 1] == pytest.approx(0.075, abs=1e-12)
-        assert out.labels.tolist() == [0, 0]
+        assert pseudo_label_select(probs, Priors(np.array([0.9, 0.1]))).tolist() == [0, 0]
 
     def test_single_sample_ties_to_class_zero(self):
         out = pseudo_label_select(np.array([[0.25, 0.25, 0.5]]), Priors(np.array([1 / 3] * 3)))
         # scores collapse to the prior itself, so everything ties
-        assert np.allclose(out.scores, 1 / 3)
-        assert out.labels.tolist() == [0]
+        assert out.dtype == np.int64 and out.tolist() == [0]
 
     def test_matches_double_loop_oracle_on_50_instances(self):
         rng = np.random.default_rng(7)
@@ -119,10 +112,7 @@ class TestPseudoLabelSelect:
             probs = random_probs(rng, n, k)
             prior = rng.uniform(0.1, 1.0, size=k)
             prior = Priors(prior / prior.sum())
-            got = pseudo_label_select(probs, prior)
-            labels, scores = select_oracle(probs, prior)
-            assert np.array_equal(got.labels, labels)
-            assert np.allclose(got.scores, scores, atol=1e-12)
+            assert np.array_equal(pseudo_label_select(probs, prior), select_oracle(probs, prior))
 
     def test_zero_column_raises(self):
         with pytest.raises(NumericError):
@@ -137,8 +127,7 @@ class TestPseudoLabelSelect:
         scaled[:, 1] *= scale
         a = pseudo_label_select(probs, Priors(np.array([0.2, 0.5, 0.3])))
         b = pseudo_label_select(scaled, Priors(np.array([0.2, 0.5, 0.3])))
-        assert np.array_equal(a.labels, b.labels)
-        assert np.allclose(a.scores, b.scores, rtol=1e-12)
+        assert np.array_equal(a, b)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 2), st.floats(1.0, 50.0))
@@ -150,8 +139,8 @@ class TestPseudoLabelSelect:
         bumped = base.copy()
         bumped[boosted] *= factor
         bumped /= bumped.sum()
-        before = pseudo_label_select(probs, Priors(base)).labels
-        after = pseudo_label_select(probs, Priors(bumped)).labels
+        before = pseudo_label_select(probs, Priors(base))
+        after = pseudo_label_select(probs, Priors(bumped))
         for old, new in zip(before, after):
             if old == boosted:
                 assert new == boosted
@@ -165,8 +154,8 @@ class TestPseudoLabelSelect:
         probs = random_probs(rng, 7, 3)
         perm = rng.permutation(7)
         prior = Priors(np.array([0.3, 0.3, 0.4]))
-        direct = pseudo_label_select(probs[perm], prior).labels
-        permuted = pseudo_label_select(probs, prior).labels[perm]
+        direct = pseudo_label_select(probs[perm], prior)
+        permuted = pseudo_label_select(probs, prior)[perm]
         assert np.array_equal(direct, permuted)
 
 
@@ -191,7 +180,7 @@ class TestContradistinguishLoss:
         prior = Priors(np.array([0.7, 0.3]))
         pseudo = pseudo_label_select(trace.probs, prior)
         lv = contradistinguish_loss(trace, pseudo, prior)
-        assert lv.value == pytest.approx(-math.log(prior.probs[pseudo.labels[0]]), abs=1e-12)
+        assert lv.value == pytest.approx(-math.log(prior.probs[pseudo[0]]), abs=1e-12)
         assert np.all(lv.dlogits == 0.0)
 
     def test_value_matches_double_loop_oracle(self):
@@ -201,7 +190,7 @@ class TestContradistinguishLoss:
             trace = trace_from_logits(logits)
             pseudo = pseudo_label_select(trace.probs, uniform2)
             lv = contradistinguish_loss(trace, pseudo, uniform2)
-            expected = contradistinguish_oracle(trace.probs, pseudo.labels, uniform2)
+            expected = contradistinguish_oracle(trace.probs, pseudo, uniform2)
             assert lv.value == pytest.approx(expected, abs=1e-10)
 
     def test_gradient_matches_finite_differences_with_frozen_pseudo(self):
@@ -226,7 +215,7 @@ class TestContradistinguishLoss:
         prior = rng.uniform(0.2, 1.0, size=k)
         prior = Priors(prior / prior.sum())
         labels = rng.integers(0, k - 1 if absent else k, size=n)
-        lv = contradistinguish_loss(trace, PseudoLabels(labels, trace.probs), prior)
+        lv = contradistinguish_loss(trace, labels, prior)
         value, dlogits = contradistinguish_nxn(trace, labels, prior.probs)
         assert abs(lv.value - value) <= 1e-12 * abs(value)
         assert np.abs(lv.dlogits - dlogits).max() <= 1e-12 * np.abs(dlogits).max()
@@ -284,6 +273,12 @@ def mmd_oracle(a, b, gamma):
     return total
 
 
+def heuristic_gamma(a, b):
+    """kernel_mmd's median-heuristic gamma for (a, b), from its own helpers."""
+    sq_a, sq_b = (np.einsum("ij,ij->i", m, m) for m in (a, b))
+    return 1.0 / (2.0 * _median(_sq_dists(a, sq_a, b, sq_b).ravel()))
+
+
 class TestKernelMmd:
     def test_identical_multisets_give_zero(self):
         rng = np.random.default_rng(0)
@@ -291,8 +286,8 @@ class TestKernelMmd:
             emb = rng.normal(size=(n, d))
             for other in (emb.copy(), emb[rng.permutation(n)]):
                 for gamma in (0.7, "median-heuristic"):
-                    lv = kernel_mmd(emb, other, MmdConfig(gamma=gamma))
-                    assert abs(lv.value) <= 1e-9
+                    value, _ = kernel_mmd(emb, other, MmdConfig(gamma=gamma))
+                    assert abs(value) <= 1e-9
 
     def test_inputs_are_left_unchanged(self):
         rng = np.random.default_rng(9)
@@ -307,27 +302,27 @@ class TestKernelMmd:
         b = np.array([[0.0, -1.0]])
         gamma = 0.3
         expected = 2.0 * (1.0 - math.exp(-gamma * 10.0))
-        lv = kernel_mmd(a, b, MmdConfig(gamma=gamma))
-        assert lv.value == pytest.approx(expected, abs=1e-12)
+        value, _ = kernel_mmd(a, b, MmdConfig(gamma=gamma))
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(4, 2))
-        lv = kernel_mmd(a, b, MmdConfig(gamma=0.5))
-        assert lv.value == pytest.approx(mmd_oracle(a, b, 0.5), abs=1e-12)
+        value, _ = kernel_mmd(a, b, MmdConfig(gamma=0.5))
+        assert value == pytest.approx(mmd_oracle(a, b, 0.5), abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(4, 2))
         cfg = MmdConfig(gamma=0.8)
-        lv = kernel_mmd(a, b, cfg)
-        num_a = fd_gradient(lambda v: kernel_mmd(v, b, cfg).value, a)
-        num_b = fd_gradient(lambda v: kernel_mmd(a, v, cfg).value, b)
-        assert max_rel_err(lv.d_emb_a, num_a) <= 1e-4
+        _, d_emb_a = kernel_mmd(a, b, cfg)
+        num_a = fd_gradient(lambda v: kernel_mmd(v, b, cfg)[0], a)
+        num_b = fd_gradient(lambda v: kernel_mmd(a, v, cfg)[0], b)
+        assert max_rel_err(d_emb_a, num_a) <= 1e-4
         # MMD^2 is symmetric: the second set's gradient is the swapped call's first
-        assert max_rel_err(kernel_mmd(b, a, cfg).d_emb_a, num_b) <= 1e-4
+        assert max_rel_err(kernel_mmd(b, a, cfg)[1], num_b) <= 1e-4
 
     def test_median_heuristic_equals_explicit_gamma(self):
         rng = np.random.default_rng(8)
@@ -337,15 +332,15 @@ class TestKernelMmd:
         gamma = 1.0 / (2.0 * np.median(cross))
         auto = kernel_mmd(a, b, MmdConfig())
         # the heuristic's own gamma, so equality does not hang on rounding
-        manual = kernel_mmd(a, b, MmdConfig(gamma=auto.gamma))
-        assert auto.value == manual.value
-        assert np.array_equal(auto.d_emb_a, manual.d_emb_a)
+        manual = kernel_mmd(a, b, MmdConfig(gamma=heuristic_gamma(a, b)))
+        assert auto[0] == manual[0]
+        assert np.array_equal(auto[1], manual[1])
         # the second set's gradient, from the swapped call and its own gamma
         swapped = kernel_mmd(b, a, MmdConfig())
-        manual_b = kernel_mmd(b, a, MmdConfig(gamma=swapped.gamma))
-        assert np.array_equal(swapped.d_emb_a, manual_b.d_emb_a)
-        assert auto.gamma == pytest.approx(gamma)
-        assert swapped.gamma == pytest.approx(gamma)
+        manual_b = kernel_mmd(b, a, MmdConfig(gamma=heuristic_gamma(b, a)))
+        assert np.array_equal(swapped[1], manual_b[1])
+        assert heuristic_gamma(a, b) == pytest.approx(gamma)
+        assert heuristic_gamma(b, a) == pytest.approx(gamma)
 
     def test_zero_median_distance_raises(self):
         a = np.array([[1.0, 1.0]])
@@ -374,7 +369,7 @@ class TestKernelMmd:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(n_a, 64))
         b = rng.normal(loc=0.3, size=(n_b, 64))
-        lv = kernel_mmd(a, b, MmdConfig(gamma=gamma))
+        value, d_emb_a = kernel_mmd(a, b, MmdConfig(gamma=gamma))
 
         # the (n, m, d) difference-tensor reference
         diff_aa = a[:, None, :] - a[None, :, :]
@@ -385,17 +380,18 @@ class TestKernelMmd:
         k_aa = np.exp(-g * (diff_aa**2).sum(-1))
         k_bb = np.exp(-g * (diff_bb**2).sum(-1))
         k_ab = np.exp(-g * d2_ab)
-        value = k_aa.mean() + k_bb.mean() - 2.0 * k_ab.mean()
+        want = k_aa.mean() + k_bb.mean() - 2.0 * k_ab.mean()
         d_a = (-4 * g / n_a**2) * np.einsum("ij,ijd->id", k_aa, diff_aa)
         d_a += (4 * g / (n_a * n_b)) * np.einsum("ij,ijd->id", k_ab, diff_ab)
         d_b = (-4 * g / n_b**2) * np.einsum("ij,ijd->id", k_bb, diff_bb)
         d_b -= (4 * g / (n_a * n_b)) * np.einsum("ji,jid->id", k_ab, diff_ab)
 
-        assert lv.gamma == pytest.approx(g, rel=1e-10)
-        assert lv.value == pytest.approx(value, rel=1e-10)
-        lv_b = kernel_mmd(b, a, MmdConfig(gamma=gamma))  # the second set's gradient
-        for got, want in ((lv.d_emb_a, d_a), (lv_b.d_emb_a, d_b)):
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        if isinstance(gamma, str):
+            assert heuristic_gamma(a, b) == pytest.approx(g, rel=1e-10)
+        assert value == pytest.approx(want, rel=1e-10)
+        d_emb_b = kernel_mmd(b, a, MmdConfig(gamma=gamma))[1]  # the second set's gradient
+        for got, ref in ((d_emb_a, d_a), (d_emb_b, d_b)):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -403,7 +399,7 @@ class TestKernelMmd:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(rng.integers(1, 6), 2))
         b = rng.normal(size=(rng.integers(1, 6), 2))
-        assert kernel_mmd(a, b, MmdConfig(gamma=1.0)).value >= -1e-12
+        assert kernel_mmd(a, b, MmdConfig(gamma=1.0))[0] >= -1e-12
 
     def test_width_mismatch_raises(self):
         with pytest.raises(ShapeError):
