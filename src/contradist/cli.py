@@ -409,7 +409,13 @@ ProcessPoolExecutor = None
 
 def run_cells(cells: list[Cell], workers: int) -> list[dict]:
     """Every cell's _run_sweep_cell result, in cell order: run in this
-    process with one worker, else in a fork pool of that many workers."""
+    process with one worker, else in a fork pool of that many workers.
+
+    The pool gets the cells longest first, so no worker starts a long cell
+    while the other workers run out of cells.  Cells of one sweep differ in
+    cost by their term set, so the cells with more terms go first; cells
+    with as many terms keep their cell order.
+    """
     global ProcessPoolExecutor
     # every module a cell runs loads here, so no forked worker compiles one
     import traceback  # noqa: F401
@@ -421,8 +427,12 @@ def run_cells(cells: list[Cell], workers: int) -> list[dict]:
         return [_run_sweep_cell(cell) for cell in cells]
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
+    order = sorted(range(len(cells)), key=lambda i: -len(cells[i].cfg.terms))
+    results = [None] * len(cells)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_sweep_cell, cells))
+        for i, result in zip(order, pool.map(_run_sweep_cell, [cells[i] for i in order])):
+            results[i] = result
+    return results
 
 
 def cmd_sweep(args) -> int:

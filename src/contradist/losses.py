@@ -7,6 +7,7 @@ explicit log of a probability (class priors) clamps its argument at 1e-12.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,9 +28,9 @@ class LossValue:
     dlogits: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise NumericError(f"loss value is not finite: {self.value}")
-        if not np.all(np.isfinite(self.dlogits)):
+        if not np.isfinite(self.dlogits).all():
             raise NumericError("loss gradient contains non-finite values")
 
 
@@ -51,7 +52,7 @@ def _check_labels(labels: np.ndarray, n: int, k: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch size {n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    if labels.size and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k):
         raise ValidationError(f"labels must lie in [0, {k})")
     return labels
 
@@ -214,7 +215,7 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> tuple[fl
         raise ShapeError(
             f"embedding widths differ: {emb_a.shape[1]} vs {emb_b.shape[1]}"
         )
-    if not (np.all(np.isfinite(emb_a)) and np.all(np.isfinite(emb_b))):
+    if not (np.isfinite(emb_a).all() and np.isfinite(emb_b).all()):
         raise ValidationError("embedding sets contain non-finite values")
     n_a, n_b = emb_a.shape[0], emb_b.shape[0]
     sq_a = np.einsum("ij,ij->i", emb_a, emb_a)

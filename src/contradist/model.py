@@ -34,8 +34,10 @@ _MAGIC = b"CDST"
 _FORMAT_VERSION = 1
 
 # The most entries one float64 array of a pass may hold: a training step's
-# batch (trainer.validate_inputs checks it) and a whole-set chunk
-# (evaluation sizes its chunks by it).  At 2**22 entries an array takes 32 MB.
+# batch (trainer.validate_inputs checks it), a block of an epoch's drawn
+# batches and fakes (trainer.train sizes its blocks by it) and a whole-set
+# chunk (evaluation sizes its chunks by it).  At 2**22 entries an array
+# takes 32 MB.
 MAX_BATCH_ENTRIES = 2**22
 
 
@@ -77,7 +79,7 @@ class ModelParams:
                 raise ValidationError(f"layer {l}: shapes inconsistent with dims")
         parts = [np.ravel(a) for wb in zip(self.weights, self.biases) for a in wb]
         self.flat = np.concatenate(parts, dtype=np.float64)
-        if not np.all(np.isfinite(self.flat)):
+        if not np.isfinite(self.flat).all():
             raise ValidationError("non-finite parameters")
         self.weights, self.biases = _views(dims, self.flat)
 
@@ -131,7 +133,7 @@ def hidden_pass(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list[np
             f"input width {x.shape[1] if x.ndim == 2 else x.shape} does not match "
             f"model input dim {params.input_dim}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValidationError("forward input contains non-finite values")
     a = x
     acts = []
@@ -148,9 +150,10 @@ def forward(params: ModelParams, x: np.ndarray) -> ForwardTrace:
     x, acts = hidden_pass(params, x)
     logits = (acts[-1] if acts else x) @ params.weights[-1]
     logits += params.biases[-1]
-    log_probs = logits - logits.max(axis=1, keepdims=True)  # shifted
+    # the ufunc reductions are what .max and .sum run, less their wrappers
+    log_probs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)  # shifted
     probs = np.exp(log_probs)
-    log_probs -= np.log(probs.sum(axis=1, keepdims=True))
+    log_probs -= np.log(np.add.reduce(probs, axis=1, keepdims=True))
     np.exp(log_probs, out=probs)
     return ForwardTrace(x, acts, logits, log_probs, probs)
 
@@ -173,7 +176,7 @@ def backward(params: ModelParams, trace: ForwardTrace, dl_dlogits: np.ndarray) -
     for l in range(len(params.weights) - 1, -1, -1):
         a_prev = trace.activations[l - 1] if l > 0 else trace.inputs
         np.matmul(a_prev.T, delta, out=d_weights[l])
-        delta.sum(axis=0, out=d_biases[l])
+        np.add.reduce(delta, axis=0, out=d_biases[l])
         if l > 0:
             delta = delta @ params.weights[l].T
             delta *= a_prev > 0.0  # a ReLU output is > 0 where its input is

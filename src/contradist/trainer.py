@@ -1,7 +1,7 @@
 """Joint training loop: supervised sources plus an unsupervised target.
 
-Per step the loop draws one mini-batch per source domain and one target
-batch, then combines the enabled loss terms:
+Each step trains on one mini-batch per source domain and one target
+batch, and combines the enabled loss terms:
 
   ss  cross-entropy on labeled source batches (summed over sources)
   tu  pseudo-label selection + contradistinguish loss on the target batch
@@ -30,11 +30,24 @@ or the generator step needs it: tu's contradistinguish loss reads that
 trace, and the generator matches its last hidden activation.  The ss traces
 also give source_train_accuracy, the share of the epoch's source-batch rows
 they get right before each step's update, so training runs no whole-set pass.
+
+The data work that never reads the parameters runs outside the step loop.
+At the start of an epoch each batch stream draws all of the epoch's batch
+indices in one call.  Then, for each block of steps, one fancy index per
+domain gathers the block's batches into a (steps, batch, d) stack, and one
+sample_fake_gaussian call per term draws the block's ta and sa Gaussian
+fakes.  A block holds as many steps as keep each drawn array within
+MAX_BATCH_ENTRIES entries, and at least one; usually it is the whole epoch.
+The step loop reads row `step` of those stacks and does only network work.
+Generator fakes stay per step, since they read the generator's parameters.
+The blocks change no value: the draws are the ones a per-step loop makes,
+in the same order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -59,7 +72,7 @@ from .model import (
     hidden_pass,
     init_params,
 )
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, seeded_normals
 
 TERMS = ("ss", "su", "tu", "sa", "ta")
 
@@ -94,9 +107,9 @@ def _ints(items) -> tuple[int, ...]:
 # widths in validate_inputs; both run before any output is written.
 MAX_PARAMS = 10**7
 
-# The largest batch_size a config may set.  Each batch stream tops a batch
-# up from fresh permutations of its domain, so it can hold batch_size int64
-# indices (512 KB at the cap) on top of the batch's own rows.
+# The largest batch_size a config may set.  Each batch stream draws an
+# epoch's batches at once: steps * batch_size int64 indices, the largest
+# domain's row count plus less than one batch of them (512 KB at the cap).
 MAX_BATCH_SIZE = 2**16
 
 
@@ -338,17 +351,28 @@ class TrainHistory:
         write_atomic(path, (json.dumps(asdict(rec)) + "\n" for rec in self.records))
 
 
-def sample_fake_gaussian(features: np.ndarray, n_f: int, seed: int) -> np.ndarray:
-    """Fakes from per-dimension Gaussians with the batch's mean and std."""
+def sample_fake_gaussian(features: np.ndarray, n_f: int, seed) -> np.ndarray:
+    """n_f fakes per batch from per-dimension Gaussians with the batch's mean and std.
+
+    features is a stack (..., batch, d) of batches and seed holds one seed
+    per batch, shape features.shape[:-2]; a 2-D features is one batch with
+    an int seed.  The result is (..., n_f, d), and batch i's fakes are
+    mean_i + std_i * Rng(seed_i).normal(n_f * d).reshape(n_f, d).
+    """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 2:
+    if features.ndim < 2 or features.shape[-2] < 2:
         raise ValidationError("need at least 2 rows to estimate a std")
     if n_f < 1:
         raise ValidationError("n_f must be >= 1")
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    d = features.shape[1]
-    z = Rng(seed).normal(n_f * d).reshape(n_f, d)
+    seeds = np.asarray(seed, dtype=np.uint64)
+    if seeds.shape != features.shape[:-2]:
+        raise ValidationError(
+            f"need one seed per batch: seed shape {seeds.shape}, batches {features.shape[:-2]}"
+        )
+    mean = features.mean(axis=-2, keepdims=True)
+    std = features.std(axis=-2, keepdims=True)
+    d = features.shape[-1]
+    z = seeded_normals(seeds, n_f * d).reshape(*seeds.shape, n_f, d)
     return mean + std * z
 
 
@@ -364,7 +388,9 @@ class _BatchStream:
     """Cycling mini-batch index stream; reshuffles whenever a pass ends.
 
     Batches always have exactly batch_size rows: a partial tail is topped
-    up from the start of the next (freshly shuffled) pass.
+    up from the start of the next (freshly shuffled) pass.  A shuffle is
+    drawn only when a batch needs its first row, so k batches from one call
+    are the k batches of k one-batch calls.
     """
 
     def __init__(self, n: int, batch_size: int, rng: Rng):
@@ -374,20 +400,21 @@ class _BatchStream:
         self._order = rng.permutation(n)
         self._pos = 0
 
-    def next(self) -> np.ndarray:
+    def next(self, k: int) -> np.ndarray:
+        """The next k batches as a (k, batch_size) index array."""
         chunks = []
-        need = self._b
+        need = k * self._b
         while need > 0:
             avail = self._n - self._pos
             if avail == 0:
                 self._order = self._rng.permutation(self._n)
                 self._pos = 0
                 continue
-            k = min(need, avail)
-            chunks.append(self._order[self._pos : self._pos + k])
-            self._pos += k
-            need -= k
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            take = min(need, avail)
+            chunks.append(self._order[self._pos : self._pos + take])
+            self._pos += take
+            need -= take
+        return np.concatenate(chunks).reshape(k, self._b)
 
 
 def generator_loss(
@@ -491,10 +518,12 @@ def train(
     """Run the joint loop and return the final classifier plus history.
 
     Per epoch there are ceil(max(n_s, n_t) / batch_size) steps; each step
-    draws one batch per source and one target batch, accumulates the
-    enabled loss gradients, and applies one optimizer update.  Everything
-    is deterministic given (cfg, datasets).  The whole call runs on one
-    BLAS thread (see contradist.blas), which changes no result.
+    takes one batch per source and one target batch, accumulates the
+    enabled loss gradients, and applies one optimizer update.  The batches
+    and Gaussian fakes are drawn ahead of the steps, a block of steps at a
+    time (see the module docstring).  Everything is deterministic given
+    (cfg, datasets).  The whole call runs on one BLAS thread (see
+    contradist.blas), which changes no result.
     """
     k = validate_inputs(cfg, sources, target)
     d = sources[0].dim
@@ -526,9 +555,13 @@ def train(
         gen_optimizer = OPTIMIZERS[cfg.optimizer](gs.lr)
         gen_noise = Rng(derive_seed(cfg.seed, "gen-noise"))
 
-    def target_fakes(tgt_x: np.ndarray) -> np.ndarray:
+    # the current block's Gaussian fakes: ta's (steps, batch, d) and sa's
+    # (steps, sources, batch, d), drawn at the start of each block
+    ta_fakes = sa_fakes = None
+
+    def target_fakes(step: int) -> np.ndarray:
         if gen is None:
-            return sample_fake_gaussian(tgt_x, cfg.batch_size, fake_seeds_ta.next_u64())
+            return ta_fakes[step]
         noise = gen_noise.normal(cfg.batch_size * gen.input_dim)
         return forward(gen, noise.reshape(cfg.batch_size, gen.input_dim)).logits
 
@@ -540,28 +573,29 @@ def train(
         trace = forward(params, fakes)
         return trace, adv_multilabel_loss(trace)
 
-    # (term, epoch its ramp starts after or None, (src, tgt_x, tgt) -> [(trace, loss)])
-    # where src holds one (features, labels, trace) per source batch and tgt is the
-    # target batch's trace.  The row order is the gradient summation order; see the
-    # module docstring.
+    # (term, epoch its ramp starts after or None, (src, tgt, step) -> [(trace, loss)])
+    # where src holds one (labels, trace) per source batch, tgt is the target
+    # batch's trace and step the row of the block's fakes.  The row order is the
+    # gradient summation order; see the module docstring.
     unsup, adv = cfg.warmup_epochs, cfg.warmup_epochs + cfg.ramp_epochs
     table = [
-        ("ss", None, lambda src, tgt_x, tgt: [(t, ce_loss(t, y)) for _, y, t in src]),
-        ("tu", unsup, lambda src, tgt_x, tgt: [contradist(tgt, prior_t)]),
-        ("su", unsup, lambda src, tgt_x, tgt: [
-            contradist(t, prior) for (_, _, t), prior in zip(src, source_priors)
+        ("ss", None, lambda src, tgt, step: [(t, ce_loss(t, y)) for y, t in src]),
+        ("tu", unsup, lambda src, tgt, step: [contradist(tgt, prior_t)]),
+        ("su", unsup, lambda src, tgt, step: [
+            contradist(t, prior) for (_, t), prior in zip(src, source_priors)
         ]),
-        ("ta", adv, lambda src, tgt_x, tgt: [adversarial(target_fakes(tgt_x))]),
-        ("sa", adv, lambda src, tgt_x, tgt: [
-            adversarial(sample_fake_gaussian(x, cfg.batch_size, fake_seeds_sa.next_u64()))
-            for x, _, _ in src
-        ]),
+        ("ta", adv, lambda src, tgt, step: [adversarial(target_fakes(step))]),
+        ("sa", adv, lambda src, tgt, step: [adversarial(x) for x in sa_fakes[step]]),
     ]
     table = [row for row in table if row[0] in terms]
     need_target_trace = "tu" in terms or gen is not None
 
     grad = np.zeros_like(params.flat)
     n_batch = -(-max(max(s.n for s in sources), target.n) // cfg.batch_size)
+    n_src = len(sources)
+    # steps per block: sa's raw draws for one step, n_src * (batch * d + 1)
+    # entries at most, are the largest array a block draws
+    block = max(1, MAX_BATCH_ENTRIES // (n_src * (cfg.batch_size * d + 1)))
     loss_keys = [t for t in TERMS if t in terms]
     if gen is not None:
         loss_keys.append("gen")
@@ -581,39 +615,47 @@ def train(
         sums = {key: 0.0 for key in loss_keys}
         total_sum = 0.0
         right = 0  # source-batch rows the ss traces classify right
-        for _ in range(n_batch):
-            grad.fill(0.0)
-            src = []
-            for s, stream in zip(sources, src_streams):
-                idx = stream.next()
-                x = s.features[idx]
-                src.append((x, s.labels[idx], forward(params, x)))
-            right += sum(np.count_nonzero(np.argmax(t.probs, axis=1) == y) for _, y, t in src)
-            tgt_x = target.features[tgt_stream.next()]
-            tgt = forward(params, tgt_x) if need_target_trace else None
+        src_idx = [stream.next(n_batch) for stream in src_streams]
+        tgt_idx = tgt_stream.next(n_batch)
+        for lo in range(0, n_batch, block):
+            steps = min(block, n_batch - lo)
+            src_x = [s.features[idx[lo : lo + steps]] for s, idx in zip(sources, src_idx)]
+            src_y = [s.labels[idx[lo : lo + steps]] for s, idx in zip(sources, src_idx)]
+            tgt_x = target.features[tgt_idx[lo : lo + steps]]
+            if "ta" in terms and gen is None:
+                ta_fakes = sample_fake_gaussian(tgt_x, cfg.batch_size, fake_seeds_ta._raw(steps))
+            if "sa" in terms:  # seeds step-major: step j's source r takes draw j * n_src + r
+                seeds = fake_seeds_sa._raw(steps * n_src).reshape(steps, n_src)
+                sa_fakes = sample_fake_gaussian(np.stack(src_x, axis=1), cfg.batch_size, seeds)
 
-            step_total = 0.0
-            for name, _, pairs in table:
-                w = weights[name]
-                value = 0.0
-                for trace, lv in pairs(src, tgt_x, tgt):
-                    value += lv.value
-                    if w != 0.0:
-                        g = backward(params, trace, lv.dlogits)
-                        g *= w
-                        grad += g
-                sums[name] += value
-                step_total += w * value
-                if name == "ta" and gen is not None:
-                    sums["gen"] += generator_step(
-                        gen, params, tgt.activations[-1], cfg, gen_optimizer, gen_noise
-                    )
+            for step in range(steps):
+                grad.fill(0.0)
+                src = [(y[step], forward(params, x[step])) for x, y in zip(src_x, src_y)]
+                right += sum(np.count_nonzero(np.argmax(t.probs, axis=1) == y) for y, t in src)
+                tgt = forward(params, tgt_x[step]) if need_target_trace else None
 
-            optimizer.step(params.flat, grad)
-            total_sum += step_total
+                step_total = 0.0
+                for name, _, pairs in table:
+                    w = weights[name]
+                    value = 0.0
+                    for trace, lv in pairs(src, tgt, step):
+                        value += lv.value
+                        if w != 0.0:
+                            g = backward(params, trace, lv.dlogits)
+                            g *= w
+                            grad += g
+                    sums[name] += value
+                    step_total += w * value
+                    if name == "ta" and gen is not None:
+                        sums["gen"] += generator_step(
+                            gen, params, tgt.activations[-1], cfg, gen_optimizer, gen_noise
+                        )
+
+                optimizer.step(params.flat, grad)
+                total_sum += step_total
 
         losses = {key: sums[key] / n_batch for key in loss_keys}
-        if any(not np.isfinite(v) for v in losses.values()):
+        if not all(math.isfinite(v) for v in losses.values()):
             raise NumericError(f"non-finite loss in epoch {epoch}: {losses}")
         history.records.append(
             EpochRecord(

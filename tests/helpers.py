@@ -1,6 +1,6 @@
 """Shared test oracles: independent trace construction, finite differences,
 the n x n form of the contradistinguish loss, and plain-expression forms of
-the network passes and the Adam step."""
+the network passes, the Adam step and one batch's Gaussian fakes."""
 
 import importlib.util
 from pathlib import Path
@@ -151,3 +151,12 @@ def contradistinguish_nxn(trace, labels, prior_probs):
     onehot[rows, labels] = 1.0
     dlogits = (trace.probs - onehot + q.T @ onehot - q.sum(axis=0)[:, None] * trace.probs) / n
     return value, dlogits
+
+
+def per_step_fake_gaussian(features, n_f, seed):
+    """One batch's Gaussian fakes as the trainer drew them once per step:
+    the batch's column mean plus its column std times Rng(seed)'s normals."""
+    features = np.asarray(features, dtype=np.float64)
+    d = features.shape[1]
+    z = Rng(seed).normal(n_f * d).reshape(n_f, d)
+    return features.mean(axis=0) + features.std(axis=0) * z

@@ -760,6 +760,52 @@ class TestSweep:
         assert built == [{"max_workers": 2}]
         assert [res["ok"] for res in results] == [True, True]
 
+    def test_pool_gets_the_longest_cells_first_and_results_keep_cell_order(
+        self, tmp_path, monkeypatch
+    ):
+        import contradist.cli as cli
+
+        handed = []
+
+        class RecordingPool:
+            """Runs the cells in this process, in the order the pool is handed them."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                cells = list(cells)
+                handed.extend(os.path.basename(cell.out_dir) for cell in cells)
+                return [fn(cell) for cell in cells]
+
+        def cell_id(cell):  # a row that names its cell: term count and seed
+            row = {"source_acc": len(cell.cfg.terms), "target_acc": cell.cfg.seed, "seconds": 0.0}
+            return {"ok": True, "row": row}
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_run_sweep_cell", cell_id)
+        monkeypatch.setenv("CONTRADIST_THREADS", "2")
+        out_dir = tmp_path / "sweep"
+        assert self.sweep(out_dir, term_sets="ss|ss,tu,ta|ss,tu|ss,ta", seeds="1,2") == 0
+        # more terms first; cells with as many terms keep their cell order
+        assert handed == [
+            f"aligned_d0_to_d1_{terms}_s{seed}"
+            for terms in ("ss+tu+ta", "ss+tu", "ss+ta", "ss") for seed in (1, 2)
+        ]
+        rows = [line.split(",") for line in (out_dir / "summary.csv").read_text().splitlines()[1:]]
+        assert [(terms, seed) for _, _, terms, seed, *_ in rows] == [
+            (terms, seed)
+            for terms in ("ss", "ss+tu+ta", "ss+tu", "ss+ta") for seed in ("1", "2")
+        ]
+        for _, _, terms, seed, n_terms, row_seed, _ in rows:
+            assert (int(n_terms), row_seed) == (len(terms.split("+")), seed)
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):

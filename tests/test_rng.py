@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from contradist.rng import Rng, derive_seed
+from contradist.rng import Rng, derive_seed, seeded_normals
 
 MASK = (1 << 64) - 1
 
@@ -81,6 +83,37 @@ def test_normal_equals_two_block_box_muller_bit_for_bit(n):
     assert got.normal(n).tobytes() == two_block_box_muller(want, n).tobytes()
     assert got.normal(n).tobytes() == two_block_box_muller(want, n).tobytes()
     assert got.next_u64() == want.next_u64()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    st.integers(0, 40),
+    st.booleans(),
+)
+@example([0, 2**64 - 1], 0, True)  # n = 1
+@example([7], 1, False)  # n = 2
+def test_seeded_normals_rows_equal_one_stream_per_seed(seeds, half, odd):
+    n = 2 * half + 1 if odd else max(2 * half, 2)
+    got = seeded_normals(np.array(seeds, dtype=np.uint64), n)
+    assert got.shape == (len(seeds), n)
+    for row, seed in zip(got, seeds):
+        assert row.tobytes() == Rng(seed).normal(n).tobytes()
+
+
+def test_seeded_normals_keep_the_seeds_shape():
+    seeds = np.arange(6, dtype=np.uint64).reshape(2, 3)
+    got = seeded_normals(seeds, 5)
+    assert got.shape == (2, 3, 5)
+    assert got[1, 2].tobytes() == Rng(5).normal(5).tobytes()
+
+
+def test_raw_block_equals_successive_next_u64():
+    a, b = Rng(77), Rng(77)
+    a.next_u64()
+    b.next_u64()
+    assert [int(z) for z in a._raw(9)] == [b.next_u64() for _ in range(9)]
+    assert a.next_u64() == b.next_u64()
 
 
 def test_permutation_is_permutation():

@@ -5,6 +5,8 @@ from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contradist import evaluation, model, trainer
 from contradist.dataset import BlobSpec, DomainDataset, make_blobs, split
@@ -12,7 +14,7 @@ from contradist.errors import ValidationError
 from contradist.evaluation import predict
 from contradist.losses import MmdConfig, kernel_mmd
 from contradist.model import ModelParams, backward, forward, hidden_pass, init_params
-from contradist.rng import Rng
+from contradist.rng import Rng, derive_seed
 from contradist.trainer import (
     Adam,
     GeneratorSettings,
@@ -25,7 +27,13 @@ from contradist.trainer import (
     train_config_from_dict,
     validate_inputs,
 )
-from helpers import ReferenceAdam, fd_param_gradient, max_rel_err, reference_backward
+from helpers import (
+    ReferenceAdam,
+    fd_param_gradient,
+    max_rel_err,
+    per_step_fake_gaussian,
+    reference_backward,
+)
 
 
 def toy_domains(seed=0, samples=150, rotation=0.0):
@@ -254,6 +262,57 @@ class TestSampleFakeGaussian:
         with pytest.raises(ValidationError):
             sample_fake_gaussian(np.zeros((1, 2)), 5, seed=0)
 
+    def test_one_seed_per_batch_required(self):
+        with pytest.raises(ValidationError, match="one seed per batch"):
+            sample_fake_gaussian(np.zeros((3, 4, 2)), 5, seed=np.arange(2, dtype=np.uint64))
+        with pytest.raises(ValidationError, match="one seed per batch"):
+            sample_fake_gaussian(np.zeros((4, 2)), 5, seed=np.arange(2, dtype=np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), max_size=2),
+        st.integers(2, 40),
+        st.integers(1, 4),
+        st.integers(1, 9),
+        st.integers(0, 2**32),
+    )
+    @example([2], 200, 1, 3, 0)  # a pairwise-summed column
+    @example([], 5, 3, 4, 1)  # the one-batch call
+    def test_stack_equals_the_per_step_expression(self, stack, batch, d, n_f, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(3.0, 2.0, size=(*stack, batch, d))
+        seeds = rng.integers(0, 2**64 - 1, size=stack, dtype=np.uint64, endpoint=True)
+        got = sample_fake_gaussian(features, n_f, seeds)
+        assert got.shape == (*stack, n_f, d)
+        for idx in np.ndindex(*stack):
+            want = per_step_fake_gaussian(features[idx], n_f, int(seeds[idx]))
+            assert got[idx].tobytes() == want.tobytes()
+
+
+class TestBatchStream:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40), st.integers(1, 50), st.integers(1, 12), st.integers(0, 3),
+        st.integers(0, 2**64 - 1),
+    )
+    @example(5, 8, 3, 0, 1)  # fewer rows than a batch
+    @example(10, 4, 5, 1, 2)  # passes end mid-batch
+    def test_k_batches_equal_k_one_batch_draws(self, n, batch, k, before, seed):
+        many = trainer._BatchStream(n, batch, Rng(seed))
+        one = trainer._BatchStream(n, batch, Rng(seed))
+        for stream in (many, one):  # start part way into a pass
+            for _ in range(before):
+                stream.next(1)
+        got = many.next(k)
+        want = np.stack([one.next(1)[0] for _ in range(k)])
+        assert got.shape == (k, batch)
+        assert got.tobytes() == want.tobytes()
+        assert many.next(1).tobytes() == one.next(1).tobytes()  # the streams stay in step
+        # every batch row comes from back-to-back shuffles of range(n)
+        ref = Rng(seed)
+        order = np.concatenate([ref.permutation(n) for _ in range(-(-(before + k) * batch // n))])
+        assert got.ravel().tobytes() == order[before * batch : (before + k) * batch].tobytes()
+
 
 class TestEstimateTargetPrior:
     def test_given_prior_passthrough(self):
@@ -432,6 +491,65 @@ class TestTrain:
         _, history = train(cfg, [src], tgt.without_labels())
         assert built == [(2, 16, 2), (4, 16, 2)][:nets]
         assert ("gen" in history.records[0].losses) == (nets == 2)
+
+    def test_sa_seeds_are_drawn_step_major_across_sources(self, monkeypatch):
+        src, tgt = toy_domains()
+        sources = [src, DomainDataset(src.features + 1.0, src.labels.copy(), "d2")]
+        cfg = quick_cfg(epochs=2, terms=("ss", "sa"))
+        calls = []
+        real = trainer.sample_fake_gaussian
+
+        def recording(features, n_f, seed):
+            calls.append((np.array(features), np.array(seed)))
+            return real(features, n_f, seed)
+
+        monkeypatch.setattr(trainer, "sample_fake_gaussian", recording)
+        train(cfg, sources, tgt.without_labels())
+        stream = Rng(derive_seed(cfg.seed, "fake/sa"))
+        rows = [{r.tobytes() for r in s.features} for s in sources]
+        steps = 0
+        for features, seeds in calls:
+            k = seeds.shape[0]
+            steps += k
+            assert seeds.shape == (k, 2)
+            assert features.shape == (k, 2, cfg.batch_size, 2)
+            # step j's source r takes the stream's draw j * 2 + r
+            assert [int(z) for z in seeds.ravel()] == [stream.next_u64() for _ in range(2 * k)]
+            for r in (0, 1):
+                assert all(x.tobytes() in rows[r] for x in features[:, r].reshape(-1, 2))
+        assert steps == cfg.epochs * -(-src.n // cfg.batch_size)
+
+    def test_blocked_draws_give_the_same_parameters(self, monkeypatch):
+        src, tgt = toy_domains()
+        sources = [src, DomainDataset(src.features + 1.0, src.labels.copy(), "d2")]
+        cfg = quick_cfg(
+            batch_size=8, hidden_dims=(4,), epochs=3, terms=("ss", "tu", "su", "ta", "sa")
+        )
+        real = trainer.sample_fake_gaussian
+
+        def run():
+            blocks = []  # steps per block, from the ta draws
+
+            def recording(features, n_f, seed):
+                if np.ndim(seed) == 1:
+                    blocks.append(len(seed))
+                return real(features, n_f, seed)
+
+            monkeypatch.setattr(trainer, "sample_fake_gaussian", recording)
+            return train(cfg, sources, tgt.without_labels()), blocks
+
+        (whole, h_whole), blocks = run()
+        n_batch = -(-src.n // cfg.batch_size)
+        assert blocks == [n_batch] * cfg.epochs
+        # a step's sa draw: 2 sources x (8 x 2 + 1) = 34 entries; its widest
+        # network array 8 x 4 = 32 entries, under the lowered bound
+        monkeypatch.setattr(trainer, "MAX_BATCH_ENTRIES", 3 * 34)
+        (blocked, h_blocked), blocks = run()
+        assert blocks == ([3] * (n_batch // 3) + [n_batch % 3]) * cfg.epochs
+        assert n_batch % 3 != 0
+        assert params_equal(whole, blocked)
+        assert whole.flat.tobytes() == blocked.flat.tobytes()
+        assert h_whole == h_blocked
 
     @pytest.mark.parametrize("terms", [("ss", "tu", "ta"), ("ss", "ta"), ("ss", "tu")])
     def test_one_classifier_pass_per_target_batch_per_step(self, monkeypatch, terms):
