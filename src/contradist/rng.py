@@ -98,13 +98,8 @@ class Rng:
         return z
 
     def next_u64(self) -> int:
-        """One raw 64-bit draw, e.g. to seed a child stream: int(self._raw(1)[0])
-        computed in Python ints, cheaper for one draw than _raw's eight ufuncs."""
-        self._counter += 1
-        z = (int(self._seed) + self._counter * _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        """One raw 64-bit draw as a Python int, e.g. to seed a child stream."""
+        return int(self._raw(1)[0])
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) with 53-bit resolution."""

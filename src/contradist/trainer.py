@@ -11,10 +11,10 @@ batch, and combines the enabled loss terms:
 
 Fakes come either from per-dimension Gaussians fit to the batch, or from a
 small generator network trained to match the classifier's embedding of the
-target via a kernel two-sample loss.  The generator only models the target,
-so sa always uses Gaussian fakes and rejects the generator sampler, and
-train() builds the generator only when ta is enabled.  The target dataset
-must arrive unlabeled; nothing in here reads target labels.
+target via a kernel two-sample loss.  The generator only models the target:
+it supplies ta's fakes, so the generator sampler needs ta, and sa always
+uses Gaussian fakes and rejects it.  The target dataset must arrive
+unlabeled; nothing in here reads target labels.
 
 train() holds the terms in one table.  Each row names a term, the epoch its
 weight starts ramping from (none for ss), and how it turns the step's source
@@ -141,13 +141,6 @@ class GeneratorSettings:
             raise ValidationError("generator lr must be a finite non-negative real")
 
 
-def _stepped_generator(cfg: "TrainConfig") -> GeneratorSettings | None:
-    """The generator's settings when train() builds it: only ta steps or reads it."""
-    if isinstance(cfg.fake_sampler, GeneratorSettings) and "ta" in cfg.terms:
-        return cfg.fake_sampler
-    return None
-
-
 def _sampler(value):
     """A fake_sampler value: a generator settings object (from a dict) or a name."""
     if not isinstance(value, dict):
@@ -240,8 +233,10 @@ class TrainConfig:
     afterwards, nor ``term_weights`` edited in place.  ``prior`` is
     "estimate_from_source" or class probabilities, ``fake_sampler``
     "gaussian_input" or GeneratorSettings (or a dict of its fields; the
-    classifier then needs a hidden layer), ``mmd_gamma`` "median-heuristic"
-    or, with the generator, a positive kernel bandwidth.
+    terms then need ta, and the classifier a hidden layer), ``mmd_gamma``
+    "median-heuristic" or, with the generator, a positive kernel bandwidth.
+    ``term_weights`` names only terms the run trains: its terms, and gen
+    with the generator.
     """
 
     batch_size: int = 128
@@ -298,9 +293,19 @@ class TrainConfig:
             raise ValidationError(
                 "sa needs the Gaussian fake sampler: the generator only models the target"
             )
+        if generator and "ta" not in seen:
+            raise ValidationError(
+                "the generator fake_sampler needs the ta term: the generator only makes ta's fakes"
+            )
+        trained = (seen | {"gen"}) if generator else seen
         for term, w in self.term_weights.items():
             if term not in TERMS + ("gen",):
                 raise ValidationError(f"unknown term weight {term!r}")
+            if term not in trained:
+                raise ValidationError(
+                    f"term weight {term!r} is for a term this run does not train: "
+                    "weights name its terms, and gen with the generator fake_sampler"
+                )
             if not (w >= 0 and np.isfinite(w)):
                 raise ValidationError(f"weight for {term!r} must be >= 0")
         if not isinstance(self.prior, str):
@@ -351,19 +356,17 @@ class TrainHistory:
         write_atomic(path, (json.dumps(asdict(rec)) + "\n" for rec in self.records))
 
 
-def sample_fake_gaussian(features: np.ndarray, n_f: int, seed) -> np.ndarray:
-    """n_f fakes per batch from per-dimension Gaussians with the batch's mean and std.
+def sample_fake_gaussian(features: np.ndarray, seed) -> np.ndarray:
+    """One fake per batch row from per-dimension Gaussians with the batch's mean and std.
 
     features is a stack (..., batch, d) of batches and seed holds one seed
     per batch, shape features.shape[:-2]; a 2-D features is one batch with
-    an int seed.  The result is (..., n_f, d), and batch i's fakes are
-    mean_i + std_i * Rng(seed_i).normal(n_f * d).reshape(n_f, d).
+    an int seed.  The result has features' shape, and batch i's fakes are
+    mean_i + std_i * Rng(seed_i).normal(batch * d).reshape(batch, d).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim < 2 or features.shape[-2] < 2:
         raise ValidationError("need at least 2 rows to estimate a std")
-    if n_f < 1:
-        raise ValidationError("n_f must be >= 1")
     seeds = np.asarray(seed, dtype=np.uint64)
     if seeds.shape != features.shape[:-2]:
         raise ValidationError(
@@ -371,8 +374,7 @@ def sample_fake_gaussian(features: np.ndarray, n_f: int, seed) -> np.ndarray:
         )
     mean = features.mean(axis=-2, keepdims=True)
     std = features.std(axis=-2, keepdims=True)
-    d = features.shape[-1]
-    z = seeded_normals(seeds, n_f * d).reshape(*seeds.shape, n_f, d)
+    z = seeded_normals(seeds, features.shape[-2] * features.shape[-1]).reshape(features.shape)
     return mean + std * z
 
 
@@ -496,8 +498,8 @@ def validate_inputs(
     # by a layer's width (the data fix the input and output widths), and with
     # the generator each kernel_mmd block is batch_size by batch_size.
     widths = (d, *cfg.hidden_dims, k)
-    gs = _stepped_generator(cfg)
-    if gs is not None:
+    gs = cfg.fake_sampler
+    if isinstance(gs, GeneratorSettings):
         widths += (gs.noise_dim, *gs.hidden_dims, cfg.batch_size)  # last: the MMD blocks
     entries = cfg.batch_size * max(widths)
     if entries > MAX_BATCH_ENTRIES:
@@ -506,7 +508,7 @@ def validate_inputs(
             f"per array, more than MAX_BATCH_ENTRIES = {MAX_BATCH_ENTRIES}"
         )
     _check_size((d, *cfg.hidden_dims, k), "classifier layers with the data's widths")
-    if gs is not None:
+    if isinstance(gs, GeneratorSettings):
         _check_size((gs.noise_dim, *gs.hidden_dims, d), "generator layers with the data's width")
     return k
 
@@ -547,8 +549,8 @@ def train(
     fake_seeds_sa = Rng(derive_seed(cfg.seed, "fake/sa"))
 
     gen = None
-    gs = _stepped_generator(cfg)
-    if gs is not None:
+    gs = cfg.fake_sampler
+    if isinstance(gs, GeneratorSettings):
         gen = init_params(
             (gs.noise_dim, *gs.hidden_dims, d), derive_seed(cfg.seed, "gen-init")
         )
@@ -623,10 +625,10 @@ def train(
             src_y = [s.labels[idx[lo : lo + steps]] for s, idx in zip(sources, src_idx)]
             tgt_x = target.features[tgt_idx[lo : lo + steps]]
             if "ta" in terms and gen is None:
-                ta_fakes = sample_fake_gaussian(tgt_x, cfg.batch_size, fake_seeds_ta._raw(steps))
+                ta_fakes = sample_fake_gaussian(tgt_x, fake_seeds_ta._raw(steps))
             if "sa" in terms:  # seeds step-major: step j's source r takes draw j * n_src + r
                 seeds = fake_seeds_sa._raw(steps * n_src).reshape(steps, n_src)
-                sa_fakes = sample_fake_gaussian(np.stack(src_x, axis=1), cfg.batch_size, seeds)
+                sa_fakes = sample_fake_gaussian(np.stack(src_x, axis=1), seeds)
 
             for step in range(steps):
                 grad.fill(0.0)

@@ -153,10 +153,9 @@ def contradistinguish_nxn(trace, labels, prior_probs):
     return value, dlogits
 
 
-def per_step_fake_gaussian(features, n_f, seed):
-    """One batch's Gaussian fakes as the trainer drew them once per step:
-    the batch's column mean plus its column std times Rng(seed)'s normals."""
+def per_step_fake_gaussian(features, seed):
+    """One batch's Gaussian fakes as the trainer drew them once per step, one
+    per row: the batch's column mean plus its column std times Rng(seed)'s normals."""
     features = np.asarray(features, dtype=np.float64)
-    d = features.shape[1]
-    z = Rng(seed).normal(n_f * d).reshape(n_f, d)
+    z = Rng(seed).normal(features.size).reshape(features.shape)
     return features.mean(axis=0) + features.std(axis=0) * z

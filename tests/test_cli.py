@@ -1037,6 +1037,14 @@ NO_SUCH_FILE = "No such file or directory"
          "classifier needs a hidden layer to expose an embedding"),
         ({**TRAIN_PATHS, "train": {"mmd_gamma": 0.5}}, TRAIN,
          "a numeric mmd_gamma needs the generator sampler"),
+        ({**TRAIN_PATHS, "train": {"terms": ["ss", "tu"], "fake_sampler": {}}}, TRAIN,
+         "the generator fake_sampler needs the ta term"),
+        (TRAIN_PATHS, [*TRAIN, "--fake-sampler", "generator", "--terms", "ss,tu"],
+         "the generator fake_sampler needs the ta term"),
+        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,tu", "--weights", "sa=0.5"],
+         "term weight 'sa' is for a term this run does not train"),
+        (TRAIN_PATHS, [*TRAIN, "--weights", "gen=2"],
+         "term weight 'gen' is for a term this run does not train"),
         (TRAIN_PATHS, [*TRAIN, "--hidden-dims", "100000000"],
          "classifier hidden_dims give at least 300000001 parameters, "
          "more than MAX_PARAMS = 10000000"),
@@ -1105,6 +1113,8 @@ NO_SUCH_FILE = "No such file or directory"
         "gen-data-config-missing", "eval-checkpoint-missing", "eval-data-missing",
         "contour-checkpoint-missing", "contour-data-missing", "contour-bounds-and-data",
         "contour-no-frame", "generator-no-hidden-layer", "mmd-gamma-gaussian-sampler",
+        "generator-without-ta", "generator-flag-without-ta", "weight-flag-for-absent-term",
+        "gen-weight-flag-gaussian-sampler",
         "train-network-too-large", "train-hidden-layers-too-large", "generator-too-large",
         "train-prior-sum", "ta-gaussian-batch-of-one", "sa-batch-of-one",
         "train-batch-size-too-large", "gen-data-samples-per-class-too-large",

@@ -35,7 +35,9 @@ def test_matches_scalar_reference(seed):
 def test_next_u64_matches_the_vectorized_draw(seed, counter):
     a, b = Rng(seed), Rng(seed)
     a._counter = b._counter = counter
-    assert [a.next_u64() for _ in range(2)] == [int(b._raw(1)[0]) for _ in range(2)]
+    want = reference_splitmix64(seed + counter * 0x9E3779B97F4A7C15, 2)
+    assert [a.next_u64() for _ in range(2)] == want
+    assert [int(z) for z in b._raw(2)] == want
     assert np.array_equal(a.uniform(3), b.uniform(3))
 
 

@@ -104,6 +104,33 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="sa needs the Gaussian"):
             TrainConfig(terms=("ss", "sa"), fake_sampler=GeneratorSettings())
 
+    @pytest.mark.parametrize(
+        "terms", [["ss"], ["ss", "tu"], ["ss", "tu", "su"]], ids=["ss", "ss,tu", "ss,tu,su"]
+    )
+    def test_generator_sampler_needs_ta(self, terms):
+        message = "the generator fake_sampler needs the ta term"
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(terms=terms, fake_sampler=GeneratorSettings())
+        with pytest.raises(ValidationError, match=message):
+            train_config_from_dict({"terms": terms, "fake_sampler": {}})
+        TrainConfig(terms=[*terms, "ta"], fake_sampler=GeneratorSettings())  # accepted with ta
+
+    @pytest.mark.parametrize(
+        "section, term",
+        [
+            ({"terms": ["ss", "tu"], "term_weights": {"sa": 0.5}}, "sa"),
+            ({"terms": ["ss", "tu"], "term_weights": {"tu": 1, "ta": 0}}, "ta"),
+            ({"term_weights": {"gen": 2}}, "gen"),  # Gaussian fakes train no generator
+        ],
+        ids=["sa-not-in-terms", "zero-weight-not-in-terms", "gen-without-generator"],
+    )
+    def test_term_weights_name_only_trained_terms(self, section, term):
+        message = f"term weight '{term}' is for a term this run does not train"
+        with pytest.raises(ValidationError, match=message):
+            train_config_from_dict(section)
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(**section)
+
     def test_network_size_cap_counts_what_the_config_fixes(self):
         # hidden (h,) with one input and one output width: 3h + 1 parameters;
         # building a config allocates no network, so the boundary is cheap
@@ -129,14 +156,11 @@ class TestConfigValidation:
         assert validate_inputs(TrainConfig(batch_size=2**16), [src], tgt) == 2
         with pytest.raises(ValidationError, match="by width 65 gives 4259840 entries"):
             validate_inputs(TrainConfig(batch_size=2**16, hidden_dims=(65,)), [src], tgt)
-        # with the generator stepping, its MMD blocks are batch_size squared
+        # with the generator, its MMD blocks are batch_size squared
         gen = dict(fake_sampler=GeneratorSettings(), terms=("ss", "ta"))
         assert validate_inputs(TrainConfig(batch_size=2**11, **gen), [src], tgt) == 2
         with pytest.raises(ValidationError, match="by width 2049 gives"):
             validate_inputs(TrainConfig(batch_size=2**11 + 1, **gen), [src], tgt)
-        # a generator that ta does not use is never built
-        no_ta = TrainConfig(**{**gen, "terms": ("ss", "tu")}, batch_size=2**11 + 1)
-        assert validate_inputs(no_ta, [src], tgt) == 2
 
     def test_network_size_cap_counts_the_data_widths(self):
         # 200000 features (6.4 MB of data) pass every batch cap at batch 4; the
@@ -146,13 +170,11 @@ class TestConfigValidation:
         tgt = DomainDataset(np.zeros((2, d)))
         with pytest.raises(ValidationError, match="widths give at least 12800194 parameters"):
             validate_inputs(TrainConfig(batch_size=4, hidden_dims=(64,)), [src], tgt)
-        # the stepped generator's output width is the feature count
+        # the generator's output width is the feature count
         gen = GeneratorSettings(noise_dim=4, hidden_dims=(64,))
         cfg = TrainConfig(batch_size=4, hidden_dims=(8,), terms=("ss", "ta"), fake_sampler=gen)
         with pytest.raises(ValidationError, match="width give at least 13000320 parameters"):
             validate_inputs(cfg, [src], tgt)
-        # a generator that ta does not use is never built, so never counted
-        assert validate_inputs(replace(cfg, terms=("ss", "tu")), [src], tgt) == 2
 
     def test_dict_round_trip(self):
         cfg = quick_cfg(fake_sampler=GeneratorSettings(noise_dim=3), term_weights={"tu": 0.5})
@@ -240,52 +262,51 @@ class TestConfigValidation:
 class TestSampleFakeGaussian:
     def test_constant_column_stays_constant(self):
         features = np.column_stack([np.full(50, 3.0), np.linspace(0, 1, 50)])
-        fakes = sample_fake_gaussian(features, 20, seed=1)
+        fakes = sample_fake_gaussian(features, seed=1)
         assert np.all(fakes[:, 0] == 3.0)
 
     def test_deterministic(self):
         features = np.random.default_rng(0).normal(size=(40, 3))
         assert np.array_equal(
-            sample_fake_gaussian(features, 10, seed=9),
-            sample_fake_gaussian(features, 10, seed=9),
+            sample_fake_gaussian(features, seed=9),
+            sample_fake_gaussian(features, seed=9),
         )
 
     def test_matches_input_moments(self):
         rng = np.random.default_rng(1)
-        features = rng.normal(loc=2.0, scale=1.5, size=(400, 2))
-        n_f = 10_000
-        fakes = sample_fake_gaussian(features, n_f, seed=5)
-        tol = 5.0 * features.std(axis=0) / np.sqrt(n_f)
+        features = rng.normal(loc=2.0, scale=1.5, size=(10_000, 2))
+        fakes = sample_fake_gaussian(features, seed=5)
+        assert fakes.shape == features.shape
+        tol = 5.0 * features.std(axis=0) / np.sqrt(len(fakes))
         assert np.all(np.abs(fakes.mean(axis=0) - features.mean(axis=0)) < tol)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValidationError):
-            sample_fake_gaussian(np.zeros((1, 2)), 5, seed=0)
+            sample_fake_gaussian(np.zeros((1, 2)), seed=0)
 
     def test_one_seed_per_batch_required(self):
         with pytest.raises(ValidationError, match="one seed per batch"):
-            sample_fake_gaussian(np.zeros((3, 4, 2)), 5, seed=np.arange(2, dtype=np.uint64))
+            sample_fake_gaussian(np.zeros((3, 4, 2)), seed=np.arange(2, dtype=np.uint64))
         with pytest.raises(ValidationError, match="one seed per batch"):
-            sample_fake_gaussian(np.zeros((4, 2)), 5, seed=np.arange(2, dtype=np.uint64))
+            sample_fake_gaussian(np.zeros((4, 2)), seed=np.arange(2, dtype=np.uint64))
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(st.integers(1, 3), max_size=2),
         st.integers(2, 40),
         st.integers(1, 4),
-        st.integers(1, 9),
         st.integers(0, 2**32),
     )
-    @example([2], 200, 1, 3, 0)  # a pairwise-summed column
-    @example([], 5, 3, 4, 1)  # the one-batch call
-    def test_stack_equals_the_per_step_expression(self, stack, batch, d, n_f, seed):
+    @example([2], 200, 1, 0)  # a pairwise-summed column
+    @example([], 5, 3, 1)  # the one-batch call
+    def test_stack_equals_the_per_step_expression(self, stack, batch, d, seed):
         rng = np.random.default_rng(seed)
         features = rng.normal(3.0, 2.0, size=(*stack, batch, d))
         seeds = rng.integers(0, 2**64 - 1, size=stack, dtype=np.uint64, endpoint=True)
-        got = sample_fake_gaussian(features, n_f, seeds)
-        assert got.shape == (*stack, n_f, d)
+        got = sample_fake_gaussian(features, seeds)
+        assert got.shape == features.shape
         for idx in np.ndindex(*stack):
-            want = per_step_fake_gaussian(features[idx], n_f, int(seeds[idx]))
+            want = per_step_fake_gaussian(features[idx], int(seeds[idx]))
             assert got[idx].tobytes() == want.tobytes()
 
 
@@ -475,11 +496,12 @@ class TestTrain:
         assert np.isfinite(history.records[-1].losses["gen"])
 
     @pytest.mark.parametrize(
-        "terms, nets", [(("ss", "tu"), 1), (("ss", "tu", "ta"), 2)], ids=["ss,tu", "ss,tu,ta"]
+        "fake_sampler, nets",
+        [("gaussian_input", 1), (GeneratorSettings(noise_dim=4, hidden_dims=(16,)), 2)],
+        ids=["gaussian", "generator"],
     )
-    def test_generator_is_built_only_when_ta_steps_it(self, monkeypatch, terms, nets):
+    def test_generator_is_built_exactly_when_configured(self, monkeypatch, fake_sampler, nets):
         src, tgt = toy_domains()
-        gs = GeneratorSettings(noise_dim=4, hidden_dims=(16,), lr=1e-3)
         built = []
 
         def counting(layer_dims, seed):
@@ -487,7 +509,7 @@ class TestTrain:
             return init_params(layer_dims, seed)
 
         monkeypatch.setattr(trainer, "init_params", counting)
-        cfg = quick_cfg(epochs=1, terms=terms, fake_sampler=gs)
+        cfg = quick_cfg(epochs=1, fake_sampler=fake_sampler)
         _, history = train(cfg, [src], tgt.without_labels())
         assert built == [(2, 16, 2), (4, 16, 2)][:nets]
         assert ("gen" in history.records[0].losses) == (nets == 2)
@@ -499,9 +521,9 @@ class TestTrain:
         calls = []
         real = trainer.sample_fake_gaussian
 
-        def recording(features, n_f, seed):
+        def recording(features, seed):
             calls.append((np.array(features), np.array(seed)))
-            return real(features, n_f, seed)
+            return real(features, seed)
 
         monkeypatch.setattr(trainer, "sample_fake_gaussian", recording)
         train(cfg, sources, tgt.without_labels())
@@ -530,10 +552,10 @@ class TestTrain:
         def run():
             blocks = []  # steps per block, from the ta draws
 
-            def recording(features, n_f, seed):
+            def recording(features, seed):
                 if np.ndim(seed) == 1:
                     blocks.append(len(seed))
-                return real(features, n_f, seed)
+                return real(features, seed)
 
             monkeypatch.setattr(trainer, "sample_fake_gaussian", recording)
             return train(cfg, sources, tgt.without_labels()), blocks
@@ -555,11 +577,8 @@ class TestTrain:
     def test_one_classifier_pass_per_target_batch_per_step(self, monkeypatch, terms):
         # tu and the generator step share one hidden pass over the target batch
         src, tgt = toy_domains()
-        cfg = quick_cfg(
-            epochs=2,
-            terms=terms,
-            fake_sampler=GeneratorSettings(noise_dim=4, hidden_dims=(16,), lr=1e-3),
-        )
+        gs = GeneratorSettings(noise_dim=4, hidden_dims=(16,), lr=1e-3)
+        cfg = quick_cfg(epochs=2, terms=terms, fake_sampler=gs if "ta" in terms else "gaussian_input")
         target_rows = {row.tobytes() for row in tgt.features}
         passes = []
         original = model.hidden_pass

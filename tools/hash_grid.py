@@ -1,4 +1,4 @@
-"""Print fixed-seed result hashes for the 96-cell training grid.
+"""Print fixed-seed result hashes for the 60-cell training grid.
 
 The first line is ``# `` and the NumPy/BLAS build, OpenBLAS kernel and
 machine that ran the grid.  Each further line is one cell: its id, the
@@ -19,9 +19,12 @@ The grid: two labeled sources of 2-class blobs (centers (-2, 0) and (2, 0),
 std 0.5; 60 and 75 per class, rotated 0 and 15 degrees, seeds 1 and 2) and an
 unlabeled target (70 per class, 35 degrees, seed 3); batch 32, 8 epochs,
 warmup 1, ramp 2, hidden (16, 16), seed 7, lr 3e-3 (adam) or 1e-2 (sgd);
-generator noise_dim 4, hidden (16,), lr 1e-3; "mixed" weights are
-{tu: 0, sa: 0.5, gen: 2}; one source means the first.  ``sa`` with the
-generator sampler is invalid, so those cells are left out.
+generator noise_dim 4, hidden (16,), lr 1e-3; one source means the first.
+"mixed" weights are those of {tu: 0, sa: 0.5, gen: 2} that the cell trains
+(its terms, and gen with the generator).  A "mixed" cell left with no
+weight would repeat its "default" cell, and the product also holds configs
+that ``train_config_from_dict`` refuses (the generator without ta, or with
+sa); both kinds are left out.
 """
 
 import hashlib
@@ -35,6 +38,7 @@ import numpy as np
 
 from contradist.blas import core_name
 from contradist.dataset import BlobSpec, make_blobs
+from contradist.errors import ValidationError
 from contradist.trainer import train, train_config_from_dict
 
 TERM_SETS = ("ss", "ss,tu", "ss,su", "ss,ta", "ss,sa", "ss,tu,su,ta", "ss,tu,su,ta,sa")
@@ -50,19 +54,26 @@ def blobs(samples: int, rotation: float, seed: int, domain_id: str):
 
 
 def cells():
-    """(cell id, train section) for every valid cell, in a fixed order."""
+    """(cell id, source count, TrainConfig) for every kept cell, in a fixed order."""
     for terms, fakes, n_src, opt, weights in itertools.product(
         TERM_SETS, SAMPLERS, (1, 2), LRS, WEIGHTS
     ):
-        if fakes == "gen" and "sa" in terms.split(","):
+        names = terms.split(",")
+        trained = names + ["gen"] if fakes == "gen" else names
+        term_weights = {t: w for t, w in WEIGHTS[weights].items() if t in trained}
+        if weights == "mixed" and not term_weights:
             continue
         section = {
             "batch_size": 32, "epochs": 8, "lr": LRS[opt], "optimizer": opt,
-            "terms": terms.split(","), "term_weights": WEIGHTS[weights],
+            "terms": names, "term_weights": term_weights,
             "fake_sampler": SAMPLERS[fakes], "hidden_dims": [16, 16],
             "warmup_epochs": 1, "ramp_epochs": 2, "seed": 7,
         }
-        yield f"{terms}/{fakes}/{n_src}src/{opt}/{weights}", n_src, section
+        try:
+            cfg = train_config_from_dict(section)
+        except ValidationError:
+            continue
+        yield f"{terms}/{fakes}/{n_src}src/{opt}/{weights}", n_src, cfg
 
 
 def build() -> str:
@@ -82,8 +93,8 @@ def hash_lines():
     """Yield each cell's output line, training the cells one by one."""
     sources = [blobs(60, 0.0, 1, "s0"), blobs(75, 15.0, 2, "s1")]
     target = blobs(70, 35.0, 3, "t").without_labels()
-    for cell_id, n_src, section in cells():
-        params, history = train(train_config_from_dict(section), sources[:n_src], target)
+    for cell_id, n_src, cfg in cells():
+        params, history = train(cfg, sources[:n_src], target)
         p = hashlib.sha256()
         for w, b in zip(params.weights, params.biases):
             p.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
