@@ -224,6 +224,7 @@ def _train_and_score(
 ) -> tuple[float, float]:
     """Train on (train, test) splits; write model.ckpt, history.jsonl and
     metrics_{source,target}_test.json to out_dir; return both accuracies.
+    Scoring comes first, so a model whose outputs overflow writes none of them.
 
     The source test sets are pooled into one score; every test set must be
     labeled with the sources' classes (cmd_train checks before it writes,
@@ -235,10 +236,6 @@ def _train_and_score(
 
     target_train, target_test = target
     params, history = train(cfg, [tr for tr, _ in sources], target_train.without_labels())
-
-    os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(params, os.path.join(out_dir, "model.ckpt"))
-    history.save_jsonl(os.path.join(out_dir, "history.jsonl"))
     k = params.num_classes
     source_x = np.vstack([te.features for _, te in sources])
     source_y = np.concatenate([te.labels for _, te in sources])
@@ -246,6 +243,10 @@ def _train_and_score(
         compute_metrics(predict(params, source_x), source_y, k),
         compute_metrics(predict(params, target_test.features), target_test.labels, k),
     )
+
+    os.makedirs(out_dir, exist_ok=True)
+    save_checkpoint(params, os.path.join(out_dir, "model.ckpt"))
+    history.save_jsonl(os.path.join(out_dir, "history.jsonl"))
     for m, name in zip(metrics, ("source_test", "target_test")):
         write_atomic(os.path.join(out_dir, f"metrics_{name}.json"), [m.to_json() + "\n"])
     return metrics[0].accuracy, metrics[1].accuracy
@@ -570,7 +571,9 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             parser.print_help()
             return 1
-        return int(args.func(args) or 0)
+        # a non-finite result ends in one error line from its check, not warnings
+        with np.errstate(all="ignore"):
+            return int(args.func(args) or 0)
     except (
         ValidationError, CsvParseError, ShapeError,
         FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError,

@@ -141,8 +141,9 @@ class Priors:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.shape[0] < 1:
             raise ValidationError("priors must be a nonempty vector")
-        if not np.all(np.isfinite(probs)) or probs.min() < 0:
-            raise ValidationError("prior entries must be finite and >= 0")
+        # checked before the sum, which entries above 1 could overflow
+        if not np.all(np.isfinite(probs)) or probs.min() < 0 or probs.max() > 1:
+            raise ValidationError("prior entries must be finite and lie in [0, 1]")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValidationError(f"priors must sum to 1, got {float(probs.sum())!r}")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .blas import one_thread
 from .dataset import write_rows
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .model import MAX_BATCH_ENTRIES, ModelParams, forward
 
 # Every whole-set pass, predict's and the contour grid's, runs CHUNK_ROWS rows
@@ -33,6 +33,8 @@ def _probs(params: ModelParams, x) -> np.ndarray:
     probs = np.empty((n, params.num_classes))
     for i in range(0, max(n, 1), rows):  # once at least, so forward checks every x
         probs[i : i + rows] = forward(params, x[i : i + rows] if n else x).probs
+    if not np.isfinite(probs).all():  # finite weights can overflow; argmax reads NaN as 0
+        raise NumericError("class probabilities are not finite: the forward pass overflows")
     return probs
 
 

@@ -34,20 +34,6 @@ class LossValue:
             raise NumericError("loss gradient contains non-finite values")
 
 
-@dataclass(frozen=True)
-class MmdConfig:
-    """Gaussian-kernel bandwidth: explicit gamma or the median heuristic."""
-
-    gamma: float | str = "median-heuristic"
-
-    def __post_init__(self):
-        if isinstance(self.gamma, str):
-            if self.gamma != "median-heuristic":
-                raise ValidationError(f"unknown gamma mode {self.gamma!r}")
-        elif not (self.gamma > 0 and np.isfinite(self.gamma)):
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
-
-
 def _check_labels(labels: np.ndarray, n: int, k: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
@@ -186,7 +172,7 @@ def _median(values: np.ndarray) -> float:
     return float((p[:h].max() + p[h]) / 2.0)
 
 
-def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> tuple[float, np.ndarray]:
+def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, gamma: float | str) -> tuple[float, np.ndarray]:
     """Squared MMD between two embedding sets under a Gaussian kernel, and
     its gradient with respect to emb_a: (value, d_emb_a).
 
@@ -198,14 +184,14 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> tuple[fl
     is no (n, m, d) difference tensor and no stacked (n_a + n_b)^2 matrix:
     that matrix computed the a-b block twice, and paging in its 512 KB
     buffers (at 128 + 128 rows) took up to 224 minor faults per call.
-    Median-heuristic gamma = 1 / (2 * median of the squared cross
-    distances), the median taken from the a-b block with one partition
-    pivot; it is fixed once per call and treated as a constant by the
-    gradient.  Non-finite embeddings raise ValidationError.
+    gamma is a positive bandwidth or "median-heuristic": 1 / (2 * median of
+    the squared cross distances), the median taken from the a-b block with
+    one partition pivot; it is fixed once per call and treated as a
+    constant by the gradient.  Non-finite embeddings raise ValidationError.
 
     Only emb_a's gradient is computed; the trainer reads no other.  MMD^2
     and the median-heuristic gamma are symmetric in the two sets, so the
-    gradient for emb_b is kernel_mmd(emb_b, emb_a, cfg)[1].
+    gradient for emb_b is kernel_mmd(emb_b, emb_a, gamma)[1].
     """
     emb_a = np.asarray(emb_a, dtype=np.float64)
     emb_b = np.asarray(emb_b, dtype=np.float64)
@@ -223,7 +209,7 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> tuple[fl
     k_aa = _sq_dists(emb_a, sq_a, emb_a, sq_a)
     k_bb = _sq_dists(emb_b, sq_b, emb_b, sq_b)
     k_ab = _sq_dists(emb_a, sq_a, emb_b, sq_b)
-    if isinstance(cfg.gamma, str):
+    if gamma == "median-heuristic":
         med = _median(k_ab.ravel())
         if med <= 0.0:
             raise NumericError(
@@ -231,7 +217,7 @@ def kernel_mmd(emb_a: np.ndarray, emb_b: np.ndarray, cfg: MmdConfig) -> tuple[fl
             )
         gamma = 1.0 / (2.0 * med)
     else:
-        gamma = float(cfg.gamma)
+        gamma = float(gamma)
     for d2 in (k_aa, k_bb, k_ab):  # each block becomes its kernel in place
         d2 *= -gamma
         np.exp(d2, out=d2)

@@ -57,7 +57,6 @@ from .dataset import DomainDataset, Priors, estimate_prior
 from .errors import NumericError, ValidationError, as_float, as_int, check_keys
 from .files import write_atomic
 from .losses import (
-    MmdConfig,
     adv_multilabel_loss,
     ce_loss,
     contradistinguish_loss,
@@ -124,7 +123,8 @@ def _check_size(layer_dims: tuple[int, ...], what: str) -> None:
 
 @dataclass(frozen=True)
 class GeneratorSettings:
-    """Toy generator: noise_dim -> hidden_dims -> feature dim, own Adam lr."""
+    """Toy generator: noise_dim -> hidden_dims -> feature dim; the run's
+    optimizer steps it at its own lr."""
 
     noise_dim: int = 8
     hidden_dims: tuple[int, ...] = (64, 64)
@@ -234,9 +234,9 @@ class TrainConfig:
     "estimate_from_source" or class probabilities, ``fake_sampler``
     "gaussian_input" or GeneratorSettings (or a dict of its fields; the
     terms then need ta, and the classifier a hidden layer), ``mmd_gamma``
-    "median-heuristic" or, with the generator, a positive kernel bandwidth.
-    ``term_weights`` names only terms the run trains: its terms, and gen
-    with the generator.
+    "median-heuristic" or, with the generator, a positive finite kernel
+    bandwidth.  ``term_weights`` names only terms in ``terms``; the
+    generator's step size is set by its own ``lr`` alone.
     """
 
     batch_size: int = 128
@@ -297,14 +297,12 @@ class TrainConfig:
             raise ValidationError(
                 "the generator fake_sampler needs the ta term: the generator only makes ta's fakes"
             )
-        trained = (seen | {"gen"}) if generator else seen
         for term, w in self.term_weights.items():
-            if term not in TERMS + ("gen",):
+            if term not in TERMS:
                 raise ValidationError(f"unknown term weight {term!r}")
-            if term not in trained:
+            if term not in seen:
                 raise ValidationError(
-                    f"term weight {term!r} is for a term this run does not train: "
-                    "weights name its terms, and gen with the generator fake_sampler"
+                    f"term weight {term!r} is for a term this run does not train"
                 )
             if not (w >= 0 and np.isfinite(w)):
                 raise ValidationError(f"weight for {term!r} must be >= 0")
@@ -314,8 +312,10 @@ class TrainConfig:
             raise ValidationError(f"unknown prior mode {self.prior!r}")
         if not generator and self.fake_sampler != "gaussian_input":
             raise ValidationError(f"unknown fake sampler {self.fake_sampler!r}")
-        MmdConfig(self.mmd_gamma)
-        if self.mmd_gamma != "median-heuristic" and not generator:
+        numeric_gamma = self.mmd_gamma != "median-heuristic"
+        if numeric_gamma and not (self.mmd_gamma > 0 and np.isfinite(self.mmd_gamma)):
+            raise ValidationError(f"mmd_gamma must be positive and finite, got {self.mmd_gamma!r}")
+        if numeric_gamma and not generator:
             raise ValidationError(
                 "a numeric mmd_gamma needs the generator sampler: Gaussian fakes run no MMD"
             )
@@ -424,7 +424,7 @@ def generator_loss(
     clf: ModelParams,
     noise: np.ndarray,
     real_emb: np.ndarray,
-    mmd_cfg: MmdConfig,
+    gamma: float | str,
 ) -> tuple[float, np.ndarray]:
     """Embedding-matching loss for the generator and its parameter gradient,
     one vector in gen.flat's layout.
@@ -441,7 +441,7 @@ def generator_loss(
         raise ValidationError("classifier needs a hidden layer to expose an embedding")
     gen_trace = forward(gen, noise)
     _, acts_fake = hidden_pass(clf, gen_trace.logits)
-    value, d_fakes = kernel_mmd(acts_fake[-1], real_emb, mmd_cfg)
+    value, d_fakes = kernel_mmd(acts_fake[-1], real_emb, gamma)
     for l in range(len(acts_fake) - 1, -1, -1):
         d_fakes = (d_fakes * (acts_fake[l] > 0.0)) @ clf.weights[l].T
     return value, backward(gen, gen_trace, d_fakes)
@@ -462,11 +462,8 @@ def generator_step(
     """
     n_f = np.asarray(real_emb).shape[0]
     noise = rng.normal(n_f * gen.input_dim).reshape(n_f, gen.input_dim)
-    value, grad = generator_loss(gen, clf, noise, real_emb, MmdConfig(cfg.mmd_gamma))
-    w = cfg.weight("gen")
-    if w != 0.0:
-        grad *= w
-        optimizer.step(gen.flat, grad)
+    value, grad = generator_loss(gen, clf, noise, real_emb, cfg.mmd_gamma)
+    optimizer.step(gen.flat, grad)
     return value
 
 

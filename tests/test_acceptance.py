@@ -20,7 +20,6 @@ from contradist.cli import main as cli_main
 from contradist.dataset import DomainDataset, Priors, preset_domains, save_csv
 from contradist.evaluation import compute_metrics
 from contradist.losses import (
-    MmdConfig,
     adv_multilabel_loss,
     ce_loss,
     contradistinguish_loss,
@@ -125,11 +124,11 @@ def test_criterion_1_gradient_suite():
     for _ in range(20):
         a = rng.normal(size=(int(rng.integers(2, 5)), 3))
         b = rng.normal(size=(int(rng.integers(2, 5)), 3))
-        cfg = MmdConfig(gamma=float(rng.uniform(0.2, 2.0)))
-        _, d_emb_a = kernel_mmd(a, b, cfg)
-        num_a = fd_gradient(lambda v: kernel_mmd(v, b, cfg)[0], a, EPS)
-        num_b = fd_gradient(lambda v: kernel_mmd(a, v, cfg)[0], b, EPS)
-        d_emb_b = kernel_mmd(b, a, cfg)[1]  # MMD^2 is symmetric in the two sets
+        gamma = float(rng.uniform(0.2, 2.0))
+        _, d_emb_a = kernel_mmd(a, b, gamma)
+        num_a = fd_gradient(lambda v: kernel_mmd(v, b, gamma)[0], a, EPS)
+        num_b = fd_gradient(lambda v: kernel_mmd(a, v, gamma)[0], b, EPS)
+        d_emb_b = kernel_mmd(b, a, gamma)[1]  # MMD^2 is symmetric in the two sets
         worst = max(worst, max_rel_err(d_emb_a, num_a), max_rel_err(d_emb_b, num_b))
 
     for i in range(20):
@@ -140,9 +139,8 @@ def test_criterion_1_gradient_suite():
                 bias += rng.normal(scale=0.1, size=bias.shape)  # keep off relu kinks
         noise = rng.normal(size=(5, 2))
         real = hidden_pass(clf, rng.normal(size=(6, 2)))[1][-1]
-        cfg = MmdConfig(gamma=0.7)
-        _, grads = generator_loss(gen, clf, noise, real, cfg)
-        numeric = fd_param_gradient(lambda: generator_loss(gen, clf, noise, real, cfg)[0], gen, EPS)
+        _, grads = generator_loss(gen, clf, noise, real, 0.7)
+        numeric = fd_param_gradient(lambda: generator_loss(gen, clf, noise, real, 0.7)[0], gen, EPS)
         worst = max(worst, max_rel_err(grads, numeric))
 
     elapsed = time.perf_counter() - start
@@ -270,7 +268,7 @@ def test_criterion_7_oracle_equivalences():
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(4, 2))
         gamma = float(rng.uniform(0.2, 2.0))
-        value, _ = kernel_mmd(a, b, MmdConfig(gamma=gamma))
+        value, _ = kernel_mmd(a, b, gamma)
         oracle = 0.0
         for i in range(3):
             for j in range(3):
@@ -310,12 +308,12 @@ def test_criterion_8_invariant_suite(tmp_path):
     checks["softmax rows"] = bool(np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) <= 1e-6)
 
     emb = rng.normal(size=(6, 3))
-    checks["mmd identical zero"] = abs(kernel_mmd(emb, emb.copy(), MmdConfig(gamma=1.0))[0]) <= 1e-9
+    checks["mmd identical zero"] = abs(kernel_mmd(emb, emb.copy(), 1.0)[0]) <= 1e-9
     checks["mmd non-negative"] = all(
         kernel_mmd(
             rng.normal(size=(int(rng.integers(1, 6)), 2)),
             rng.normal(size=(int(rng.integers(1, 6)), 2)),
-            MmdConfig(gamma=1.0),
+            1.0,
         )[0]
         >= -1e-12
         for _ in range(20)

@@ -61,7 +61,7 @@ def assert_one_line_error(capsys, message):
 # numeric gamma, and values that need converting
 FULL_TRAIN = {
     "batch_size": 16, "epochs": 2, "lr": "0.004", "optimizer": "sgd",
-    "terms": ["ss", "tu", "ta"], "term_weights": {"tu": 1, "ta": "0.5", "gen": 2},
+    "terms": ["ss", "tu", "ta"], "term_weights": {"tu": 1, "ta": "0.5"},
     "prior": [0.4, "0.6"], "fake_sampler": {"noise_dim": "3", "hidden_dims": [8], "lr": 0.002},
     "mmd_gamma": 0.5, "hidden_dims": [8, "8"], "warmup_epochs": 0, "ramp_epochs": 1, "seed": 4,
 }
@@ -87,8 +87,7 @@ FULL_CONFIG_JSON = """\
     ],
     "term_weights": {
       "tu": 1.0,
-      "ta": 0.5,
-      "gen": 2.0
+      "ta": 0.5
     },
     "prior": [
       0.4,
@@ -341,7 +340,7 @@ class TestTrain:
             "--target", "d1", "--out", "run", "--terms", "ss,tu,ta", "--epochs", "2",
             "--batch-size", "16", "--lr", "0.004", "--optimizer", "sgd", "--seed", "4",
             "--hidden-dims", "8,8", "--prior", "0.4,0.6", "--fake-sampler", "generator",
-            "--weights", "tu=1,ta=0.5,gen=2",
+            "--weights", "tu=1,ta=0.5",
         ]
         assert None not in vars(build_parser().parse_args(argv)).values()  # every flag given
         assert main(argv) == 0
@@ -703,6 +702,22 @@ class TestSweep:
         assert_one_line_error(capsys, f"repeated sweep cell {cell}")
         assert not out_dir.exists()
 
+    def test_cells_whose_model_overflows_fail_with_one_line_each(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # two workers fork for the two cells: a NumPy warning there would
+        # turn into the cell's error, as the suite makes warnings errors
+        monkeypatch.setenv("CONTRADIST_THREADS", "2")
+        out_dir = tmp_path / "sweep"
+        assert self.sweep(out_dir, lr="1e308") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line in err:
+            assert line.startswith("cell failed: "), line
+            assert "NumericError: class probabilities are not finite" in line, line
+        assert not (out_dir / "cells").exists()
+        assert (out_dir / "summary.csv").read_text().count("\n") == 1  # the header alone
+
     def test_failed_cell_recorded_and_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CONTRADIST_THREADS", "1")
         out_dir = tmp_path / "sweep"
@@ -807,6 +822,11 @@ class TestSweep:
             assert (int(n_terms), row_seed) == (len(terms.split("+")), seed)
 
 
+# a train run whose first Adam step takes the weights to about 1e308
+OVERFLOW_TRAIN = ["train", "--data-dir", "{data}", "--sources", "d0", "--target", "d1",
+                  "--out", "{out}", "--lr", "1e308"]
+
+
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
@@ -850,6 +870,37 @@ class TestTopLevel:
         paths = {"out": str(tmp_path / "out"), "data": str(data_dir), "ckpt": str(ckpt)}
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert_one_line_error(capsys, "out of memory: Unable to allocate 65.5 TiB")
+
+    @pytest.mark.parametrize(
+        "argv, message, written",
+        [
+            ([*OVERFLOW_TRAIN, "--epochs", "1"], "class probabilities are not finite",
+             ["config.json"]),
+            ([*OVERFLOW_TRAIN, "--epochs", "3"], "loss value is not finite: nan", ["config.json"]),
+            (["eval", "--checkpoint", "{ckpt}", "--data", "{data}/d1_test.csv",
+              "--out", "{out}/metrics.json"], "class probabilities are not finite", []),
+            (["contour", "--checkpoint", "{ckpt}", "--data", "{data}/d1_test.csv",
+              "--out", "{out}/contour.csv"], "class probabilities are not finite", []),
+        ],
+        ids=["train-scores-overflow", "train-loss-overflows", "eval", "contour"],
+    )
+    def test_a_model_that_overflows_is_a_one_line_error_exit_2(
+        self, tmp_path, capsys, argv, message, written
+    ):
+        from contradist.model import ModelParams, save_checkpoint
+
+        data_dir = gen(tmp_path, preset="rotated", samples=50)
+        # finite weights whose forward overflows to NaN on most rows
+        ckpt = tmp_path / "model.ckpt"
+        weights = [np.full((2, 4), 1e308), np.full((4, 2), 1e308)]
+        save_checkpoint(ModelParams((2, 4, 2), weights, [np.zeros(4), np.zeros(2)]), ckpt)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        paths = {"out": str(out), "data": str(data_dir), "ckpt": str(ckpt)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert_one_line_error(capsys, message)
+        assert sorted(os.listdir(out)) == written
 
     def test_readme_train_flag_table_lists_every_train_flag(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1043,8 +1094,7 @@ NO_SUCH_FILE = "No such file or directory"
          "the generator fake_sampler needs the ta term"),
         (TRAIN_PATHS, [*TRAIN, "--terms", "ss,tu", "--weights", "sa=0.5"],
          "term weight 'sa' is for a term this run does not train"),
-        (TRAIN_PATHS, [*TRAIN, "--weights", "gen=2"],
-         "term weight 'gen' is for a term this run does not train"),
+        (TRAIN_PATHS, [*TRAIN, "--weights", "gen=2"], "unknown term weight 'gen'"),
         (TRAIN_PATHS, [*TRAIN, "--hidden-dims", "100000000"],
          "classifier hidden_dims give at least 300000001 parameters, "
          "more than MAX_PARAMS = 10000000"),
@@ -1092,6 +1142,20 @@ NO_SUCH_FILE = "No such file or directory"
         (None, ["contour", "--checkpoint", "{ckpt}", "--bounds=-1,1,-1,1", "--resolution", "2",
                 "--out", "{dir}"],
          "Is a directory: '{dir}'"),
+        (TRAIN_PATHS, [*TRAIN, "--fake-sampler", "generator", "--weights", "gen=2"],
+         "unknown term weight 'gen'"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {}, "term_weights": {"gen": 2}}}, TRAIN,
+         "unknown term weight 'gen'"),
+        *[({**TRAIN_PATHS, "train": {"fake_sampler": {}, "mmd_gamma": gamma}}, TRAIN,
+           f"mmd_gamma must be positive and finite, got {shown}")
+          for gamma, shown in ((0, "0.0"), (-1, "-1.0"), (float("nan"), "nan"),
+                               (float("inf"), "inf"))],
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {}, "mmd_gamma": "median"}}, TRAIN,
+         "bad train config value for 'mmd_gamma': could not convert string to float: 'median'"),
+        (TRAIN_PATHS, [*TRAIN, "--prior", "1e308,1e308"],
+         "prior entries must be finite and lie in [0, 1]"),
+        ({"domains": {"a": {**BLOB, "classes": [{"center": [0, 0], "std": 1e308}] * 2}}}, GEN,
+         "features contain non-finite values"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -1122,7 +1186,9 @@ NO_SUCH_FILE = "No such file or directory"
         "train-hidden-dims-str", "generator-hidden-dims-str", "train-terms-str",
         "train-config-is-dir", "eval-checkpoint-is-dir", "train-data-dir-is-file",
         "train-out-is-file", "gen-data-out-is-file", "sweep-out-is-file", "eval-out-is-dir",
-        "contour-out-is-dir",
+        "contour-out-is-dir", "gen-weight-flag-generator", "gen-weight-in-config",
+        "mmd-gamma-zero", "mmd-gamma-negative", "mmd-gamma-nan", "mmd-gamma-inf",
+        "mmd-gamma-unknown-mode", "train-prior-entry-overflow", "blob-std-overflow",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):

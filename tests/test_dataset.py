@@ -233,6 +233,12 @@ class TestPriors:
         with pytest.raises(ValidationError):
             Priors(np.array([0.5, 0.6]))
 
+    def test_rejects_an_entry_above_one_before_the_sum_overflows(self):
+        # the suite turns NumPy's overflow warning into an error, so a sum
+        # taken first would raise RuntimeWarning instead
+        with pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+            Priors(np.array([1e308, 1e308]))
+
 
 class TestCsv:
     def test_round_trip_labeled(self, tmp_path):

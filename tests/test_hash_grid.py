@@ -1,4 +1,4 @@
-"""The 60-cell hash grid against its committed golden file.
+"""The 56-cell hash grid against its committed golden file.
 
 `tools/hash_grid.py` trains every cell of a fixed-seed grid and prints the
 SHA-256 of its parameters and history; `hash_grid_golden.txt` is that output,

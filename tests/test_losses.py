@@ -11,7 +11,6 @@ from contradist.dataset import Priors
 from contradist.errors import NumericError, ShapeError, ValidationError
 from contradist.losses import (
     LossValue,
-    MmdConfig,
     _median,
     _sq_dists,
     adv_multilabel_loss,
@@ -286,7 +285,7 @@ class TestKernelMmd:
             emb = rng.normal(size=(n, d))
             for other in (emb.copy(), emb[rng.permutation(n)]):
                 for gamma in (0.7, "median-heuristic"):
-                    value, _ = kernel_mmd(emb, other, MmdConfig(gamma=gamma))
+                    value, _ = kernel_mmd(emb, other, gamma)
                     assert abs(value) <= 1e-9
 
     def test_inputs_are_left_unchanged(self):
@@ -294,7 +293,7 @@ class TestKernelMmd:
         a = rng.normal(size=(6, 4))
         b = rng.normal(size=(5, 4))
         a0, b0 = a.copy(), b.copy()
-        kernel_mmd(a, b, MmdConfig())
+        kernel_mmd(a, b, "median-heuristic")
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
     def test_singletons_closed_form(self):
@@ -302,27 +301,26 @@ class TestKernelMmd:
         b = np.array([[0.0, -1.0]])
         gamma = 0.3
         expected = 2.0 * (1.0 - math.exp(-gamma * 10.0))
-        value, _ = kernel_mmd(a, b, MmdConfig(gamma=gamma))
+        value, _ = kernel_mmd(a, b, gamma)
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(4, 2))
-        value, _ = kernel_mmd(a, b, MmdConfig(gamma=0.5))
+        value, _ = kernel_mmd(a, b, 0.5)
         assert value == pytest.approx(mmd_oracle(a, b, 0.5), abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(4, 2))
-        cfg = MmdConfig(gamma=0.8)
-        _, d_emb_a = kernel_mmd(a, b, cfg)
-        num_a = fd_gradient(lambda v: kernel_mmd(v, b, cfg)[0], a)
-        num_b = fd_gradient(lambda v: kernel_mmd(a, v, cfg)[0], b)
+        _, d_emb_a = kernel_mmd(a, b, 0.8)
+        num_a = fd_gradient(lambda v: kernel_mmd(v, b, 0.8)[0], a)
+        num_b = fd_gradient(lambda v: kernel_mmd(a, v, 0.8)[0], b)
         assert max_rel_err(d_emb_a, num_a) <= 1e-4
         # MMD^2 is symmetric: the second set's gradient is the swapped call's first
-        assert max_rel_err(kernel_mmd(b, a, cfg)[1], num_b) <= 1e-4
+        assert max_rel_err(kernel_mmd(b, a, 0.8)[1], num_b) <= 1e-4
 
     def test_median_heuristic_equals_explicit_gamma(self):
         rng = np.random.default_rng(8)
@@ -330,14 +328,14 @@ class TestKernelMmd:
         b = rng.normal(size=(5, 3))
         cross = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
         gamma = 1.0 / (2.0 * np.median(cross))
-        auto = kernel_mmd(a, b, MmdConfig())
+        auto = kernel_mmd(a, b, "median-heuristic")
         # the heuristic's own gamma, so equality does not hang on rounding
-        manual = kernel_mmd(a, b, MmdConfig(gamma=heuristic_gamma(a, b)))
+        manual = kernel_mmd(a, b, heuristic_gamma(a, b))
         assert auto[0] == manual[0]
         assert np.array_equal(auto[1], manual[1])
         # the second set's gradient, from the swapped call and its own gamma
-        swapped = kernel_mmd(b, a, MmdConfig())
-        manual_b = kernel_mmd(b, a, MmdConfig(gamma=heuristic_gamma(b, a)))
+        swapped = kernel_mmd(b, a, "median-heuristic")
+        manual_b = kernel_mmd(b, a, heuristic_gamma(b, a))
         assert np.array_equal(swapped[1], manual_b[1])
         assert heuristic_gamma(a, b) == pytest.approx(gamma)
         assert heuristic_gamma(b, a) == pytest.approx(gamma)
@@ -345,7 +343,7 @@ class TestKernelMmd:
     def test_zero_median_distance_raises(self):
         a = np.array([[1.0, 1.0]])
         with pytest.raises(NumericError):
-            kernel_mmd(a, a.copy(), MmdConfig())
+            kernel_mmd(a, a.copy(), "median-heuristic")
 
     def test_collapsed_rows_raise_under_median_heuristic(self):
         # Gram-form rounding must not leave equal rows a tiny distance apart
@@ -353,7 +351,7 @@ class TestKernelMmd:
             row = np.random.default_rng(seed).normal(size=64)
             a = np.tile(row, (5, 1))
             with pytest.raises(NumericError):
-                kernel_mmd(a, a.copy(), MmdConfig())
+                kernel_mmd(a, a.copy(), "median-heuristic")
 
     @pytest.mark.parametrize(
         "gamma, n_a, n_b",
@@ -369,7 +367,7 @@ class TestKernelMmd:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(n_a, 64))
         b = rng.normal(loc=0.3, size=(n_b, 64))
-        value, d_emb_a = kernel_mmd(a, b, MmdConfig(gamma=gamma))
+        value, d_emb_a = kernel_mmd(a, b, gamma)
 
         # the (n, m, d) difference-tensor reference
         diff_aa = a[:, None, :] - a[None, :, :]
@@ -389,7 +387,7 @@ class TestKernelMmd:
         if isinstance(gamma, str):
             assert heuristic_gamma(a, b) == pytest.approx(g, rel=1e-10)
         assert value == pytest.approx(want, rel=1e-10)
-        d_emb_b = kernel_mmd(b, a, MmdConfig(gamma=gamma))[1]  # the second set's gradient
+        d_emb_b = kernel_mmd(b, a, gamma)[1]  # the second set's gradient
         for got, ref in ((d_emb_a, d_a), (d_emb_b, d_b)):
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -399,11 +397,11 @@ class TestKernelMmd:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(rng.integers(1, 6), 2))
         b = rng.normal(size=(rng.integers(1, 6), 2))
-        assert kernel_mmd(a, b, MmdConfig(gamma=1.0))[0] >= -1e-12
+        assert kernel_mmd(a, b, 1.0)[0] >= -1e-12
 
     def test_width_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            kernel_mmd(np.zeros((2, 2)), np.zeros((2, 3)), MmdConfig(gamma=1.0))
+            kernel_mmd(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -413,7 +411,7 @@ class TestKernelMmd:
         emb = {"a": rng.normal(size=(6, 3)), "b": rng.normal(size=(5, 3))}
         emb[side][2, 1] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            kernel_mmd(emb["a"], emb["b"], MmdConfig(gamma=gamma))
+            kernel_mmd(emb["a"], emb["b"], gamma)
 
 
 # squared distances as kernel_mmd gives them: non-negative (a clamped zero is

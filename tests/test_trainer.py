@@ -1,6 +1,7 @@
 """Training loop contracts: determinism, term handling, fakes, generator."""
 
 import pickle
+import re
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from contradist import evaluation, model, trainer
 from contradist.dataset import BlobSpec, DomainDataset, make_blobs, split
 from contradist.errors import ValidationError
 from contradist.evaluation import predict
-from contradist.losses import MmdConfig, kernel_mmd
+from contradist.losses import kernel_mmd
 from contradist.model import ModelParams, backward, forward, hidden_pass, init_params
 from contradist.rng import Rng, derive_seed
 from contradist.trainer import (
@@ -116,19 +117,41 @@ class TestConfigValidation:
         TrainConfig(terms=[*terms, "ta"], fake_sampler=GeneratorSettings())  # accepted with ta
 
     @pytest.mark.parametrize(
-        "section, term",
+        "section, message",
         [
-            ({"terms": ["ss", "tu"], "term_weights": {"sa": 0.5}}, "sa"),
-            ({"terms": ["ss", "tu"], "term_weights": {"tu": 1, "ta": 0}}, "ta"),
-            ({"term_weights": {"gen": 2}}, "gen"),  # Gaussian fakes train no generator
+            ({"terms": ["ss", "tu"], "term_weights": {"sa": 0.5}},
+             "term weight 'sa' is for a term this run does not train"),
+            ({"terms": ["ss", "tu"], "term_weights": {"tu": 1, "ta": 0}},
+             "term weight 'ta' is for a term this run does not train"),
+            # gen is no term: the generator's own lr alone sets its step
+            ({"term_weights": {"gen": 2}}, "unknown term weight 'gen'"),
+            ({"term_weights": {"gen": 2}, "fake_sampler": {}}, "unknown term weight 'gen'"),
         ],
-        ids=["sa-not-in-terms", "zero-weight-not-in-terms", "gen-without-generator"],
+        ids=["sa-not-in-terms", "zero-weight-not-in-terms", "gen-without-generator",
+             "gen-with-generator"],
     )
-    def test_term_weights_name_only_trained_terms(self, section, term):
-        message = f"term weight '{term}' is for a term this run does not train"
+    def test_term_weights_name_only_trained_terms(self, section, message):
         with pytest.raises(ValidationError, match=message):
             train_config_from_dict(section)
         with pytest.raises(ValidationError, match=message):
+            TrainConfig(**section)
+
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [
+            (0, "mmd_gamma must be positive and finite, got 0.0"),
+            (-1, "mmd_gamma must be positive and finite, got -1.0"),
+            (float("nan"), "mmd_gamma must be positive and finite, got nan"),
+            (float("inf"), "mmd_gamma must be positive and finite, got inf"),
+            ("median", "bad train config value for 'mmd_gamma': could not convert string"),
+        ],
+        ids=["zero", "negative", "nan", "inf", "unknown-mode"],
+    )
+    def test_mmd_gamma_is_positive_and_finite_or_median_heuristic(self, gamma, message):
+        section = {"mmd_gamma": gamma, "fake_sampler": {}}
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            train_config_from_dict(section)
+        with pytest.raises(ValidationError, match=re.escape(message)):
             TrainConfig(**section)
 
     def test_network_size_cap_counts_what_the_config_fixes(self):
@@ -640,8 +663,8 @@ class TestGeneratorStep:
                     b += rng.normal(scale=0.1, size=b.shape)
             noise = rng.normal(size=(9, 3))
             batch = rng.normal(size=(7, 4))
-            cfg = MmdConfig()
-            value, grads = generator_loss(gen, clf, noise, hidden_pass(clf, batch)[1][-1], cfg)
+            gamma = "median-heuristic"
+            value, grads = generator_loss(gen, clf, noise, hidden_pass(clf, batch)[1][-1], gamma)
 
             # full forwards, then an encoder network whose output layer is
             # the last hidden layer's affine map, backpropagated explicitly
@@ -650,7 +673,7 @@ class TestGeneratorStep:
             mmd_value, d_emb = kernel_mmd(
                 forward(clf, fakes).activations[-1],
                 forward(clf, batch).activations[-1],
-                cfg,
+                gamma,
             )
             enc = ModelParams(clf.layer_dims[:-1], clf.weights[:-1], clf.biases[:-1])
             enc_trace = forward(enc, fakes)
@@ -665,14 +688,14 @@ class TestGeneratorStep:
         clf = init_params((2, 3), 1)
         noise = np.zeros((4, 2))
         with pytest.raises(ValidationError, match="needs a hidden layer"):
-            generator_loss(self.gen, clf, noise, self.real_emb, MmdConfig(gamma=0.5))
+            generator_loss(self.gen, clf, noise, self.real_emb, 0.5)
 
     def test_gradient_matches_finite_differences(self):
         noise = np.random.default_rng(5).normal(size=(6, 2))
-        value, grads = generator_loss(self.gen, self.clf, noise, self.real_emb, MmdConfig(gamma=0.5))
+        value, grads = generator_loss(self.gen, self.clf, noise, self.real_emb, 0.5)
         numeric = fd_param_gradient(
             lambda: generator_loss(
-                self.gen, self.clf, noise, self.real_emb, MmdConfig(gamma=0.5)
+                self.gen, self.clf, noise, self.real_emb, 0.5
             )[0],
             self.gen,
         )

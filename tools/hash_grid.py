@@ -1,4 +1,4 @@
-"""Print fixed-seed result hashes for the 60-cell training grid.
+"""Print fixed-seed result hashes for the 56-cell training grid.
 
 The first line is ``# `` and the NumPy/BLAS build, OpenBLAS kernel and
 machine that ran the grid.  Each further line is one cell: its id, the
@@ -20,11 +20,10 @@ std 0.5; 60 and 75 per class, rotated 0 and 15 degrees, seeds 1 and 2) and an
 unlabeled target (70 per class, 35 degrees, seed 3); batch 32, 8 epochs,
 warmup 1, ramp 2, hidden (16, 16), seed 7, lr 3e-3 (adam) or 1e-2 (sgd);
 generator noise_dim 4, hidden (16,), lr 1e-3; one source means the first.
-"mixed" weights are those of {tu: 0, sa: 0.5, gen: 2} that the cell trains
-(its terms, and gen with the generator).  A "mixed" cell left with no
-weight would repeat its "default" cell, and the product also holds configs
-that ``train_config_from_dict`` refuses (the generator without ta, or with
-sa); both kinds are left out.
+"mixed" weights are those of {tu: 0, sa: 0.5} that name the cell's terms.
+A "mixed" cell left with no weight would repeat its "default" cell, and the
+product also holds configs that ``train_config_from_dict`` refuses (the
+generator without ta, or with sa); both kinds are left out.
 """
 
 import hashlib
@@ -44,7 +43,7 @@ from contradist.trainer import train, train_config_from_dict
 TERM_SETS = ("ss", "ss,tu", "ss,su", "ss,ta", "ss,sa", "ss,tu,su,ta", "ss,tu,su,ta,sa")
 SAMPLERS = {"gauss": "gaussian_input", "gen": {"noise_dim": 4, "hidden_dims": [16], "lr": 1e-3}}
 LRS = {"adam": 3e-3, "sgd": 1e-2}
-WEIGHTS = {"default": {}, "mixed": {"tu": 0.0, "sa": 0.5, "gen": 2.0}}
+WEIGHTS = {"default": {}, "mixed": {"tu": 0.0, "sa": 0.5}}
 
 
 def blobs(samples: int, rotation: float, seed: int, domain_id: str):
@@ -59,8 +58,7 @@ def cells():
         TERM_SETS, SAMPLERS, (1, 2), LRS, WEIGHTS
     ):
         names = terms.split(",")
-        trained = names + ["gen"] if fakes == "gen" else names
-        term_weights = {t: w for t, w in WEIGHTS[weights].items() if t in trained}
+        term_weights = {t: w for t, w in WEIGHTS[weights].items() if t in names}
         if weights == "mixed" and not term_weights:
             continue
         section = {
