@@ -14,7 +14,7 @@ after every module its cells run, so no forked worker imports one.
 from __future__ import annotations
 
 if __name__ == "__main__":  # python -m contradist.cli: before NumPy loads
-    from .__main__ import start_command
+    from .__main__ import run_command, start_command
 
     start_command()
 
@@ -590,4 +590,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_command(main))
