@@ -158,7 +158,7 @@ def cmd_gen_data(args) -> int:
         **_load_config_file(args.config),
         **flags,
     }
-    if "preset" not in cfg and "domains" not in cfg:
+    if "preset" not in cfg and not cfg.get("domains"):
         raise ValidationError(
             f"need --preset or a config with domains; presets: {', '.join(preset_names())}"
         )
@@ -415,7 +415,8 @@ def run_cells(cells: list[Cell], workers: int) -> list[dict]:
     The pool gets the cells longest first, so no worker starts a long cell
     while the other workers run out of cells.  Cells of one sweep differ in
     cost by their term set, so the cells with more terms go first; cells
-    with as many terms keep their cell order.
+    with as many terms keep their cell order.  A worker that dies (killed
+    for memory, say) ends the sweep with ChildProcessError.
     """
     global ProcessPoolExecutor
     # every module a cell runs loads here, so no forked worker compiles one
@@ -428,11 +429,15 @@ def run_cells(cells: list[Cell], workers: int) -> list[dict]:
         return [_run_sweep_cell(cell) for cell in cells]
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     order = sorted(range(len(cells)), key=lambda i: -len(cells[i].cfg.terms))
     results = [None] * len(cells)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for i, result in zip(order, pool.map(_run_sweep_cell, [cells[i] for i in order])):
-            results[i] = result
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for i, result in zip(order, pool.map(_run_sweep_cell, [cells[i] for i in order])):
+                results[i] = result
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a sweep worker died: {exc}") from exc
     return results
 
 

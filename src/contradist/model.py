@@ -59,29 +59,31 @@ def _views(dims, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return weights, biases
 
 
+def param_count(layer_dims) -> int:
+    """The length of flat for these layer dims: every layer's weights and biases."""
+    return sum(i * o + o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
+
+
 @dataclass
 class ModelParams:
-    """ReLU MLP parameters, layer_dims = [d, h1, ..., K].
+    """ReLU MLP parameters, layer_dims = [d, h1, ..., K], built from a flat vector.
 
-    The given arrays are copied into a new flat; weights and biases become views of it."""
+    flat is copied as float64; weights[l] (layer_dims[l], layer_dims[l+1]) and
+    biases[l] become views of the copy."""
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[l]: (layer_dims[l], layer_dims[l+1])
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False)
+    flat: np.ndarray = field(repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.layer_dims = _checked_dims(self.layer_dims)
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValidationError("one weight matrix and bias vector per layer")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[l], dims[l + 1]) or b.shape != (dims[l + 1],):
-                raise ValidationError(f"layer {l}: shapes inconsistent with dims")
-        parts = [np.ravel(a) for wb in zip(self.weights, self.biases) for a in wb]
-        self.flat = np.concatenate(parts, dtype=np.float64)
-        if not np.isfinite(self.flat).all():
+        flat = self.flat = np.array(self.flat, dtype=np.float64)
+        if flat.shape != (param_count(dims),):
+            raise ValidationError(f"need {param_count(dims)} parameters for dims {dims}")
+        if not np.isfinite(flat).all():
             raise ValidationError("non-finite parameters")
-        self.weights, self.biases = _views(dims, self.flat)
+        self.weights, self.biases = _views(dims, flat)
 
     @property
     def input_dim(self) -> int:
@@ -92,7 +94,7 @@ class ModelParams:
         return self.layer_dims[-1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.layer_dims, self.weights, self.biases)
+        return ModelParams(self.layer_dims, self.flat)
 
 
 @dataclass
@@ -113,16 +115,14 @@ class ForwardTrace:
 
 
 def init_params(layer_dims, seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+    """Glorot-uniform weights drawn layer by layer into one zeroed flat vector."""
     dims = _checked_dims(layer_dims)
     rng = Rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        u = rng.uniform(fan_in * fan_out).reshape(fan_in, fan_out)
-        weights.append(a * (2.0 * u - 1.0))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(dims, weights, biases)
+    flat = np.zeros(param_count(dims))
+    for w in _views(dims, flat)[0]:  # w: (fan_in, fan_out)
+        a = np.sqrt(6.0 / sum(w.shape))
+        w[:] = a * (2.0 * rng.uniform(w.size).reshape(w.shape) - 1.0)
+    return ModelParams(dims, flat)
 
 
 def hidden_pass(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -203,15 +203,12 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: truncated header")
     dims = struct.unpack_from(f"<{n_dims}I", data, 12)
     offset = 12 + 4 * n_dims
-    expected = offset + sum(
-        8 * (fi * fo + fo) for fi, fo in zip(dims[:-1], dims[1:])
-    )
+    expected = offset + 8 * param_count(dims)
     if len(data) != expected:
         raise CheckpointError(
             f"{path}: expected {expected} bytes for dims {dims}, got {len(data)}"
         )
-    flat = np.frombuffer(data, dtype="<f8", offset=offset)
-    try:  # ModelParams copies the views into its own writable vector
-        return ModelParams(dims, *_views(dims, flat))
+    try:  # ModelParams copies the read-only buffer into its own writable vector
+        return ModelParams(dims, np.frombuffer(data, dtype="<f8", offset=offset))
     except ValidationError as exc:
         raise CheckpointError(f"{path}: invalid parameters: {exc}") from exc

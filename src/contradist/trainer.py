@@ -70,6 +70,7 @@ from .model import (
     forward,
     hidden_pass,
     init_params,
+    param_count,
 )
 from .rng import Rng, derive_seed, seeded_normals
 
@@ -99,7 +100,7 @@ def _ints(items) -> tuple[int, ...]:
 
 # The most parameters a config may give a network (classifier or generator).
 # Training keeps about eight float64 vectors of that length: the parameters
-# (twice while init_params joins them), their gradient, one term's gradient,
+# (twice while ModelParams copies them), their gradient, one term's gradient,
 # and Adam's m, v and two scratch vectors.  At 10**7 parameters that is
 # 8 * 8 B * 10**7 = 640 MB per network.  The count is checked when the config
 # is built, with the data's widths taken as 1, and again with their real
@@ -113,8 +114,10 @@ MAX_BATCH_SIZE = 2**16
 
 
 def _check_size(layer_dims: tuple[int, ...], what: str) -> None:
-    """Refuse a network whose layer_dims give more than MAX_PARAMS parameters."""
-    count = sum(i * o + o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
+    """Refuse a network whose layer_dims are not all positive or give more than MAX_PARAMS."""
+    if min(layer_dims) < 1:
+        raise ValidationError(f"{what} must be positive")
+    count = param_count(layer_dims)
     if count > MAX_PARAMS:
         raise ValidationError(
             f"{what} give at least {count} parameters, more than MAX_PARAMS = {MAX_PARAMS}"
@@ -133,8 +136,6 @@ class GeneratorSettings:
     def __post_init__(self):
         converters = {"noise_dim": as_int, "hidden_dims": _ints, "lr": as_float}
         _convert_fields(self, converters, "fake_sampler")
-        if self.noise_dim < 1 or any(h < 1 for h in self.hidden_dims):
-            raise ValidationError("generator dims must be positive")
         # its output width is the data's feature count, at least 1
         _check_size((self.noise_dim, *self.hidden_dims, 1), "generator noise_dim and hidden_dims")
         if not (self.lr >= 0 and np.isfinite(self.lr)):
@@ -319,8 +320,6 @@ class TrainConfig:
             raise ValidationError(
                 "a numeric mmd_gamma needs the generator sampler: Gaussian fakes run no MMD"
             )
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValidationError("hidden dims must be positive")
         # the data sets the input and output widths; each is at least 1
         _check_size((1, *self.hidden_dims, 1), "classifier hidden_dims")
         if generator and not self.hidden_dims:
@@ -477,13 +476,11 @@ def validate_inputs(
     for src in sources:
         if src.labels is None:
             raise ValidationError(f"source {src.domain_id!r} must be labeled")
-        if src.dim != d:
-            raise ValidationError("all domains must share the feature width")
     if target.labels is not None:
         raise ValidationError(
             "target must be passed unlabeled (use DomainDataset.without_labels)"
         )
-    if target.dim != d:
+    if any(ds.dim != d for ds in (*sources, target)):
         raise ValidationError("all domains must share the feature width")
     k = int(max(int(s.labels.max()) for s in sources)) + 1
     if k < 2:

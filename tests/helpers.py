@@ -1,17 +1,25 @@
 """Shared test oracles: independent trace construction, finite differences,
 the n x n form of the contradistinguish loss, and plain-expression forms of
-the network passes, the Adam step and one batch's Gaussian fakes."""
+the network passes, the Adam step and one batch's Gaussian fakes; and the
+child-interpreter and hash-grid scaffolding the process-level tests share."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import contradist
 from contradist.model import ForwardTrace, init_params
 from contradist.rng import Rng
 from contradist.trainer import Adam
 
 ROOT = Path(__file__).resolve().parent.parent
+# the directory the package under test is imported from
+SRC = Path(contradist.__file__).parents[1]
+HASH_GRID_GOLDEN = ROOT / "tests" / "hash_grid_golden.txt"
 
 
 def load_hash_grid():
@@ -20,6 +28,23 @@ def load_hash_grid():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def golden_build() -> str:
+    """The NumPy/BLAS build line that heads the hash-grid golden file."""
+    with open(HASH_GRID_GOLDEN, encoding="utf-8") as fh:
+        return fh.readline().rstrip("\n").removeprefix("# ")
+
+
+def run_python(args, cwd=None, stdout=subprocess.PIPE, check=False, **env):
+    """`python args` in a fresh interpreter that imports the package under
+    test, with the given variables set (a value of None unsets one)."""
+    child_env = {**os.environ, **env, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env={k: v for k, v in child_env.items() if v is not None},
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, check=check,
+    )
 
 
 def net_with_biases(dims, seed):

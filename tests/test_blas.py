@@ -2,9 +2,6 @@
 changes no result."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +14,7 @@ from contradist.dataset import BlobSpec, make_blobs, save_csv
 from contradist.errors import NumericError, ValidationError
 from contradist.model import backward, forward, hidden_pass, init_params, save_checkpoint
 from contradist.trainer import GeneratorSettings, TrainConfig, generator_loss
+from helpers import ROOT, run_python
 
 
 def controls_or_skip():
@@ -214,7 +212,6 @@ def test_capped_contour_grid_is_bit_equal_to_a_two_thread_forward(threads):
 # The command's processes start OpenBLAS with one thread (contradist.__main__);
 # each case runs in a fresh interpreter, since NumPy reads the variable once.
 THREADS_VAR = "OPENBLAS_NUM_THREADS"
-SRC = Path(contradist.__file__).parent.parent
 
 RUN_AS_MAIN = """
 import runpy
@@ -228,7 +225,7 @@ except SystemExit:
 def installed_script() -> str:
     """What the installed `contradist` script runs, from pyproject.toml."""
     tomllib = pytest.importorskip("tomllib")
-    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
     module, _, attr = pyproject["project"]["scripts"]["contradist"].partition(":")
     return f"from {module} import {attr}\n{attr}()\n"
 
@@ -236,12 +233,7 @@ def installed_script() -> str:
 def run_child(code: str, **env) -> str:
     """The stdout of `code` in a fresh interpreter whose only thread variable
     is the one given."""
-    child_env = {k: v for k, v in os.environ.items() if k != THREADS_VAR}
-    child_env.update(env, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True
-    )
-    return proc.stdout
+    return run_python(["-c", code], check=True, **{THREADS_VAR: None, **env}).stdout
 
 
 def child_threads(code: str, **env) -> tuple[str | None, int]:

@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from contradist.cli import build_parser, main
 from contradist.dataset import load_csv
 from contradist.trainer import TrainConfig
+from helpers import run_python
 
 FAST_TRAIN = [
     "--epochs", "4", "--batch-size", "32", "--seed", "1",
@@ -397,6 +399,18 @@ class TestTrain:
         assert_one_line_error(capsys, message)
         assert not out_dir.exists()
 
+    def test_gaussian_flag_replaces_a_generator_sampler_from_the_config(self, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train": {"terms": ["ss", "tu", "ta"], "fake_sampler": {}}}))
+        code, out_dir = fast_train(
+            tmp_path, gen(tmp_path), extra=("--config", str(cfg), "--fake-sampler", "gaussian")
+        )
+        assert code == 0
+        config = json.loads((out_dir / "config.json").read_text())
+        assert config["train"]["fake_sampler"] == "gaussian_input"
+        history = [json.loads(l) for l in (out_dir / "history.jsonl").read_text().splitlines()]
+        assert all("gen" not in record["losses"] for record in history)
+
     def test_sa_with_generator_sampler_exits_1(self, tmp_path, capsys):
         code, out_dir = fast_train(
             tmp_path, tmp_path / "data", extra=("--terms", "ss,sa", "--fake-sampler", "generator")
@@ -619,6 +633,11 @@ class TestContour:
         assert code == 1
 
 
+def exit_at_once(cell):
+    """A sweep cell whose worker process dies, as one killed for memory does."""
+    os._exit(1)
+
+
 class TestSweep:
     @staticmethod
     def sweep(out_dir, **flags):
@@ -752,6 +771,17 @@ class TestSweep:
         assert "in flaky" in failures[0]["traceback"]
         assert "cell failed:" in capsys.readouterr().err
 
+    def test_a_worker_that_dies_is_a_one_line_error_exit_2(self, tmp_path, monkeypatch, capfd):
+        import contradist.cli as cli
+
+        # forked workers inherit the patch; pickle finds it at module level
+        monkeypatch.setattr(cli, "_run_sweep_cell", exit_at_once)
+        monkeypatch.setenv("CONTRADIST_THREADS", "2")
+        out_dir = tmp_path / "sweep"
+        assert self.sweep(out_dir) == 2
+        assert_one_line_error(capfd, "a sweep worker died: A process in the process pool")
+        assert os.listdir(out_dir) == ["sweep_config.json"]
+
     def test_run_cells_builds_its_pool_from_the_module_global(self, tmp_path, monkeypatch):
         # perfbench's tracer swaps cli.ProcessPoolExecutor; run_cells must read it
         from concurrent.futures import ProcessPoolExecutor
@@ -881,8 +911,13 @@ class TestTopLevel:
               "--out", "{out}/metrics.json"], "class probabilities are not finite", []),
             (["contour", "--checkpoint", "{ckpt}", "--data", "{data}/d1_test.csv",
               "--out", "{out}/contour.csv"], "class probabilities are not finite", []),
+            (["eval", "--checkpoint", "{truncated}", "--data", "{data}/d1_test.csv",
+              "--out", "{out}/metrics.json"], "truncated header", []),
+            (["eval", "--checkpoint", "{nan}", "--data", "{data}/d1_test.csv",
+              "--out", "{out}/metrics.json"], "invalid parameters: non-finite parameters", []),
         ],
-        ids=["train-scores-overflow", "train-loss-overflows", "eval", "contour"],
+        ids=["train-scores-overflow", "train-loss-overflows", "eval", "contour",
+             "eval-truncated-header", "eval-nan-parameter"],
     )
     def test_a_model_that_overflows_is_a_one_line_error_exit_2(
         self, tmp_path, capsys, argv, message, written
@@ -892,12 +927,18 @@ class TestTopLevel:
         data_dir = gen(tmp_path, preset="rotated", samples=50)
         # finite weights whose forward overflows to NaN on most rows
         ckpt = tmp_path / "model.ckpt"
-        weights = [np.full((2, 4), 1e308), np.full((4, 2), 1e308)]
-        save_checkpoint(ModelParams((2, 4, 2), weights, [np.zeros(4), np.zeros(2)]), ckpt)
+        # W0 (2x4), b0 (4), W1 (4x2), b1 (2)
+        flat = np.concatenate([np.full(8, 1e308), np.zeros(4), np.full(8, 1e308), np.zeros(2)])
+        save_checkpoint(ModelParams((2, 4, 2), flat), ckpt)
+        # a header that names three layer dims and holds one; a NaN last bias
+        truncated, nan = tmp_path / "truncated.ckpt", tmp_path / "nan.ckpt"
+        truncated.write_bytes(b"CDST" + struct.pack("<III", 1, 3, 2))
+        nan.write_bytes(ckpt.read_bytes()[:-8] + struct.pack("<d", float("nan")))
         out = tmp_path / "out"
         out.mkdir()
         capsys.readouterr()
-        paths = {"out": str(out), "data": str(data_dir), "ckpt": str(ckpt)}
+        paths = {"out": str(out), "data": str(data_dir), "ckpt": str(ckpt),
+                 "truncated": str(truncated), "nan": str(nan)}
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert_one_line_error(capsys, message)
         assert sorted(os.listdir(out)) == written
@@ -953,10 +994,6 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    import subprocess
-    import sys
-
-    import contradist
     from contradist.model import init_params, save_checkpoint
 
     data_dir = gen(tmp_path, samples=10)
@@ -971,11 +1008,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         ["train", "--data-dir", str(data_dir), "--sources", "d0", "--target", "d1",
          "--epochs", "1", "--out", str(tmp_path / "run")],
     ]
-    src = str(Path(contradist.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    )
+    proc = run_python(["-c", IMPORT_PROBE, json.dumps(runs)], check=True)
     seen = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [command for command, _, _ in seen] == list(NOT_LOADED_AFTER)
     for command, code, modules in seen:
@@ -1156,6 +1189,39 @@ NO_SUCH_FILE = "No such file or directory"
          "prior entries must be finite and lie in [0, 1]"),
         ({"domains": {"a": {**BLOB, "classes": [{"center": [0, 0], "std": 1e308}] * 2}}}, GEN,
          "features contain non-finite values"),
+        ({"domains": {}}, GEN, "need --preset or a config with domains"),
+        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,ss"], "duplicate loss term 'ss'"),
+        ({**TRAIN_PATHS, "train": {"prior": "uniform"}}, TRAIN, "unknown prior mode 'uniform'"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": "gauss"}}, TRAIN,
+         "unknown fake sampler 'gauss'"),
+        (TRAIN_PATHS, [*TRAIN, "--hidden-dims", "0"], "classifier hidden_dims must be positive"),
+        ({**TRAIN_PATHS, "train": {"warmup_epochs": -1}}, TRAIN, "warmup_epochs must be >= 0"),
+        ({**TRAIN_PATHS, "train": {"ramp_epochs": -1}}, TRAIN, "ramp_epochs must be >= 0"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {"noise_dim": 0}}}, TRAIN,
+         "generator noise_dim and hidden_dims must be positive"),
+        ({**TRAIN_PATHS, "train": {"fake_sampler": {"lr": -1}}}, TRAIN,
+         "generator lr must be a finite non-negative real"),
+        (TRAIN_PATHS, [*TRAIN, "--data-dir", "{data}", "--sources", "d0,wide3"],
+         "all domains must share the feature width"),
+        (TRAIN_PATHS, [*TRAIN, "--data-dir", "{data}", "--sources", "oneclass"],
+         "need at least 2 classes across the sources"),
+        (TRAIN_PATHS, [*TRAIN, "--data-dir", "{data}", "--sources", "headeronly"],
+         "headeronly_train.csv: no data rows"),
+        (TRAIN_PATHS, [*TRAIN, "--data-dir", "{data}", "--sources", "textfeature"],
+         "textfeature_train.csv: row 1: could not convert string to float: 'abc'"),
+        (TRAIN_PATHS, [*TRAIN, "--data-dir", "{data}", "--sources", "labelx"],
+         "labelx_train.csv: row 1: bad label 'x'"),
+        (TRAIN_PATHS, [*TRAIN, "--data-dir", "{data}", "--sources", "labelneg"],
+         "labelneg_train.csv: row 1: bad label -2"),
+        (None, [*CONTOUR, "--data", "{data}/wide3_train.csv"], "default bounds need 2-D features"),
+        (None, ["train", "--config", "{list}"], "config must be a JSON object"),
+        ({**TRAIN_PATHS, "schema_version": 2}, TRAIN, "unsupported config schema version 2"),
+        (TRAIN_PATHS, ["train", "--config", "{cfg}"], "--out is required (flag or config)"),
+        (None, [*CONTOUR, "--bounds", "0,1,2"], "--bounds needs x_min,x_max,y_min,y_max"),
+        (TRAIN_PATHS, [*TRAIN, "--terms", ","], "argument --terms: empty list argument ','"),
+        (TRAIN_PATHS, [*TRAIN, "--weights", "tu"],
+         "argument --weights: bad --weights item 'tu', expected term=value"),
+        (None, ["gen-data", "--out", "{out}"], "need --preset or a config with domains"),
     ],
     ids=[
         "train-section-typo", "train-data-dir-int", "gen-data-key-typo", "blob-spec-key-typo",
@@ -1189,6 +1255,14 @@ NO_SUCH_FILE = "No such file or directory"
         "contour-out-is-dir", "gen-weight-flag-generator", "gen-weight-in-config",
         "mmd-gamma-zero", "mmd-gamma-negative", "mmd-gamma-nan", "mmd-gamma-inf",
         "mmd-gamma-unknown-mode", "train-prior-entry-overflow", "blob-std-overflow",
+        "gen-data-no-domains", "train-duplicate-term", "train-prior-unknown-mode",
+        "train-fake-sampler-unknown", "train-hidden-dim-zero", "train-warmup-negative",
+        "train-ramp-negative", "generator-noise-dim-zero", "generator-lr-negative",
+        "train-source-widths-differ", "train-source-one-class", "csv-header-only",
+        "csv-feature-not-a-number", "csv-label-not-an-integer", "csv-label-below-minus-1",
+        "contour-data-not-2-d", "config-is-a-list", "config-schema-version-2",
+        "train-out-missing", "contour-bounds-count", "train-terms-empty", "train-weights-no-value",
+        "gen-data-no-preset",
     ],
 )
 def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, message):
@@ -1196,18 +1270,32 @@ def test_bad_input_exits_1_with_one_line_error(tmp_path, capsys, config, argv, m
 
     cfg, ckpt, out = tmp_path / "cfg.json", tmp_path / "model.ckpt", tmp_path / "out"
     cfg.write_text(json.dumps({"schema_version": 1, **(config or {})}))
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
     save_checkpoint(init_params([2, 4, 2], 0), ckpt)
     wide = tmp_path / "wide.csv"  # finite rows whose f1 span overflows a float64
     wide.write_text("f0,f1,label\n0.5,1.0,0\n0.7,1e308,1\n0.1,-1e308,0\n")
-    # paths of the wrong kind, and a data directory whose splits load
+    # paths of the wrong kind, and a data directory whose d0 and d1 splits
+    # load; each other domain's splits fail as the domain's name says
     adir, afile, data = tmp_path / "adir", tmp_path / "afile", tmp_path / "data"
     adir.mkdir()
     afile.write_text("kept\n")
     data.mkdir()
-    for name in ("d0_train", "d0_test", "d1_train", "d1_test"):
-        (data / f"{name}.csv").write_text("f0,f1,label\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n")
+    domains = {
+        "d0": "f0,f1,label\n0,0,0\n1,1,1\n0,1,0\n1,0,1\n",
+        "wide3": "f0,f1,f2,label\n0,0,0,0\n1,1,1,1\n",
+        "oneclass": "f0,f1,label\n0,0,0\n1,1,0\n",
+        "headeronly": "f0,f1,label\n",
+        "textfeature": "f0,f1,label\n0,abc,0\n",
+        "labelx": "f0,f1,label\n0,0,x\n",
+        "labelneg": "f0,f1,label\n0,0,-2\n",
+    }
+    domains["d1"] = domains["d0"]
+    for name, text in domains.items():
+        for part in ("train", "test"):
+            (data / f"{name}_{part}.csv").write_text(text)
     paths = {"cfg": str(cfg), "ckpt": str(ckpt), "out": str(out), "wide": str(wide),
-             "dir": str(adir), "file": str(afile), "data": str(data)}
+             "dir": str(adir), "file": str(afile), "data": str(data), "list": str(listed)}
     assert main([arg.format(**paths) for arg in argv]) == 1
     assert_one_line_error(capsys, message.format(**paths))
     assert not out.exists()

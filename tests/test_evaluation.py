@@ -18,10 +18,10 @@ from contradist.evaluation import (
     save_contour_csv,
 )
 from contradist.model import MAX_BATCH_ENTRIES, forward, init_params
-from helpers import load_hash_grid, net_with_biases
+from helpers import golden_build, load_hash_grid, net_with_biases
 
-# SHA-256 of the contour.csv pinned below, and the build that recorded it
-PINNED_BUILD = "numpy 2.4.6; blas scipy-openblas 0.3.31.188.0; kernel SkylakeX; x86_64"
+# SHA-256 of the contour.csv pinned below, recorded on the hash grid's golden build
+PINNED_BUILD = golden_build()
 PINNED_CSV_SHA256 = "983da5a3c4580e18b204a68b1737d6cf8cb8c81c775af6a2370f4402286d9f01"
 
 

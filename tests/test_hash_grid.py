@@ -9,18 +9,14 @@ bits may legitimately differ, so the test skips and names both builds; it
 never rewrites the golden file.
 """
 
-from pathlib import Path
-
 import pytest
 
-from helpers import load_hash_grid
-
-GOLDEN = Path(__file__).resolve().parent / "hash_grid_golden.txt"
+from helpers import HASH_GRID_GOLDEN, load_hash_grid
 
 
 def test_grid_matches_the_golden_file():
     hash_grid = load_hash_grid()
-    header, *want = GOLDEN.read_text(encoding="utf-8").splitlines()
+    header, *want = HASH_GRID_GOLDEN.read_text(encoding="utf-8").splitlines()
     recorded, running = header.removeprefix("# "), hash_grid.build()
     if recorded != running:
         pytest.skip(f"golden file made on {recorded!r}; this build is {running!r}")

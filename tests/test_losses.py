@@ -1,6 +1,7 @@
 """Loss values against hand arithmetic, loop oracles, and finite differences."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ class TestPseudoLabelSelect:
     def test_zero_column_raises(self):
         with pytest.raises(NumericError):
             pseudo_label_select(np.array([[1.0, 0.0], [1.0, 0.0]]), uniform2)
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            (np.zeros((0, 2)), "probs must be a nonempty n x K matrix, got (0, 2)"),
+            (np.full(2, 0.5), "probs must be a nonempty n x K matrix, got (2,)"),
+            (np.full((2, 3), 1 / 3), "probs have 3 classes but priors have 2"),
+        ],
+        ids=["no-rows", "1-d", "class-count"],
+    )
+    def test_bad_shapes_raise(self, probs, message):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            pseudo_label_select(probs, uniform2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 100.0))
@@ -402,6 +416,15 @@ class TestKernelMmd:
     def test_width_mismatch_raises(self):
         with pytest.raises(ShapeError):
             kernel_mmd(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.zeros(3), np.zeros((2, 3))), (np.zeros((2, 3)), np.zeros((0, 3)))],
+        ids=["1-d", "no-rows"],
+    )
+    def test_non_matrix_or_empty_sets_raise(self, a, b):
+        with pytest.raises(ShapeError, match="embedding sets must be nonempty 2-D matrices"):
+            kernel_mmd(a, b, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["a", "b"])

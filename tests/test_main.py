@@ -10,11 +10,9 @@ from pathlib import Path
 
 import pytest
 
-import contradist
 from contradist import cli
 from contradist.__main__ import run_command
-
-SRC = str(Path(contradist.__file__).parents[1])
+from helpers import run_python
 
 # gen-data -> train -> eval -> contour, with paths relative to the run directory
 PIPELINE = [
@@ -32,12 +30,7 @@ PIPELINE = [
 def run_cli(argv, cwd, stdout=subprocess.PIPE, **env):
     """`python -m contradist.cli argv` in cwd, with the given variables set
     (a value of None unsets one)."""
-    child_env = {**os.environ, "PYTHONPATH": SRC, **env}
-    return subprocess.run(
-        [sys.executable, "-m", "contradist.cli", *argv],
-        cwd=cwd, env={k: v for k, v in child_env.items() if v is not None},
-        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
-    )
+    return run_python(["-m", "contradist.cli", *argv], cwd, stdout, **env)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -54,10 +47,7 @@ def test_start_command_leaves_the_collector_disabled():
         "start_command()\n"
         "print(gc.isenabled())\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True, text=True, check=True,
-    )
+    proc = run_python(["-c", code], check=True)
     assert proc.stdout == "False\n"
 
 

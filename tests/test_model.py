@@ -54,7 +54,7 @@ class TestInit:
             with pytest.raises(ValidationError):
                 init_params(dims, 0)
             with pytest.raises(ValidationError):
-                ModelParams(dims, [], [])
+                ModelParams(dims, [])
 
 
 class TestFlatLayout:
@@ -72,10 +72,15 @@ class TestFlatLayout:
         parts = [params.weights[0], params.biases[0], params.weights[1], params.biases[1]]
         assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in parts]))
 
+    @pytest.mark.parametrize("flat", [np.zeros(5), np.zeros(7), np.zeros((2, 3))])
+    def test_constructor_refuses_a_vector_of_another_length(self, flat):
+        with pytest.raises(ValidationError, match=r"need 6 parameters for dims \(2, 2\)"):
+            ModelParams((2, 2), flat)
+
     def test_construction_and_copy_share_no_memory(self):
-        w, b = np.ones((2, 2)), np.zeros(2)
-        params = ModelParams((2, 2), [w], [b])
-        w[0, 0] = 5.0
+        flat = np.concatenate([np.ones(4), np.zeros(2)])
+        params = ModelParams((2, 2), flat)
+        flat[0] = 5.0
         assert params.weights[0][0, 0] == 1.0
         dup = params.copy()
         assert not np.shares_memory(dup.flat, params.flat)
@@ -94,9 +99,7 @@ class TestForward:
 
     def test_extreme_logits_do_not_overflow(self):
         # one linear layer wired to emit logits (1000, 0)
-        params = ModelParams(
-            (2, 2), [np.array([[1000.0, 0.0], [0.0, 0.0]])], [np.zeros(2)]
-        )
+        params = ModelParams((2, 2), [1000.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         trace = forward(params, np.array([[1.0, 0.0]]))
         assert np.all(np.isfinite(trace.log_probs))
         assert trace.probs[0, 0] == pytest.approx(1.0, abs=1e-12)

@@ -14,7 +14,14 @@ from contradist.dataset import BlobSpec, DomainDataset, make_blobs, split
 from contradist.errors import ValidationError
 from contradist.evaluation import predict
 from contradist.losses import kernel_mmd
-from contradist.model import ModelParams, backward, forward, hidden_pass, init_params
+from contradist.model import (
+    ModelParams,
+    backward,
+    forward,
+    hidden_pass,
+    init_params,
+    param_count,
+)
 from contradist.rng import Rng, derive_seed
 from contradist.trainer import (
     Adam,
@@ -67,10 +74,7 @@ def quick_cfg(**overrides):
 
 
 def params_equal(a, b):
-    return all(
-        np.array_equal(x, y)
-        for x, y in zip(a.weights + a.biases, b.weights + b.biases)
-    )
+    return np.array_equal(a.flat, b.flat)
 
 
 class TestConfigValidation:
@@ -184,6 +188,11 @@ class TestConfigValidation:
         assert validate_inputs(TrainConfig(batch_size=2**11, **gen), [src], tgt) == 2
         with pytest.raises(ValidationError, match="by width 2049 gives"):
             validate_inputs(TrainConfig(batch_size=2**11 + 1, **gen), [src], tgt)
+
+    def test_train_without_sources_is_refused(self):
+        tgt = DomainDataset(np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="need at least one source domain"):
+            train(TrainConfig(), [], tgt)
 
     def test_network_size_cap_counts_the_data_widths(self):
         # 200000 features (6.4 MB of data) pass every batch cap at batch 4; the
@@ -675,7 +684,8 @@ class TestGeneratorStep:
                 forward(clf, batch).activations[-1],
                 gamma,
             )
-            enc = ModelParams(clf.layer_dims[:-1], clf.weights[:-1], clf.biases[:-1])
+            enc_dims = clf.layer_dims[:-1]
+            enc = ModelParams(enc_dims, clf.flat[: param_count(enc_dims)])
             enc_trace = forward(enc, fakes)
             d_pre = d_emb * (enc_trace.logits > 0.0)
             d_fakes = reference_backward(enc, enc_trace, d_pre)[1]

@@ -93,10 +93,7 @@ def hash_lines():
     target = blobs(70, 35.0, 3, "t").without_labels()
     for cell_id, n_src, cfg in cells():
         params, history = train(cfg, sources[:n_src], target)
-        p = hashlib.sha256()
-        for w, b in zip(params.weights, params.biases):
-            p.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            p.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        p = hashlib.sha256(params.flat.astype("<f8").tobytes())
         h = hashlib.sha256()
         for rec in history.records:
             h.update((json.dumps(asdict(rec), sort_keys=True) + "\n").encode())
