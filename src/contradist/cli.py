@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", type=_csv_list, help="comma-separated source domain names")
     p.add_argument("--target")
     p.add_argument("--out", dest="out_dir")
-    p.add_argument("--terms", type=_csv_list, help="comma-separated subset of ss,su,tu,sa,ta")
+    p.add_argument("--terms", type=_csv_list, help="comma-separated subset of ss,tu,ta")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)

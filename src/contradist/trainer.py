@@ -5,23 +5,20 @@ batch, and combines the enabled loss terms:
 
   ss  cross-entropy on labeled source batches (summed over sources)
   tu  pseudo-label selection + contradistinguish loss on the target batch
-  su  the same unsupervised pair on source batches, labels ignored
   ta  multi-label adversarial loss on fakes drawn near the target batch
-  sa  the adversarial loss on fakes drawn near each source batch
 
 Fakes come either from per-dimension Gaussians fit to the batch, or from a
 small generator network trained to match the classifier's embedding of the
 target via a kernel two-sample loss.  The generator only models the target:
-it supplies ta's fakes, so the generator sampler needs ta, and sa always
-uses Gaussian fakes and rejects it.  The target dataset must arrive
-unlabeled; nothing in here reads target labels.
+it supplies ta's fakes, so the generator sampler needs ta.  The target
+dataset must arrive unlabeled; nothing in here reads target labels.
 
 train() holds the terms in one table.  Each row names a term, the epoch its
 weight starts ramping from (none for ss), and how it turns the step's source
 and target batches into (trace, loss) pairs; one loop weights the pairs,
 sums their values and accumulates their gradients.  The rows run in the
-order ss, tu, su, ta, sa, and that order is fixed: it is the float summation
-order of the gradients, so reordering would change trained parameters.  The
+order ss, tu, ta, and that order is fixed: it is the float summation order
+of the gradients, so reordering would change trained parameters.  The
 generator step runs right after ta, which keeps the draws from its noise
 stream in order.
 
@@ -35,9 +32,9 @@ The data work that never reads the parameters runs outside the step loop.
 At the start of an epoch each batch stream draws all of the epoch's batch
 indices in one call.  Then, for each block of steps, one fancy index per
 domain gathers the block's batches into a (steps, batch, d) stack, and one
-sample_fake_gaussian call per term draws the block's ta and sa Gaussian
-fakes.  A block holds as many steps as keep each drawn array within
-MAX_BATCH_ENTRIES entries, and at least one; usually it is the whole epoch.
+sample_fake_gaussian call draws the block's ta Gaussian fakes.  A block
+holds as many steps as keep each drawn array within MAX_BATCH_ENTRIES
+entries, and at least one; usually it is the whole epoch.
 The step loop reads row `step` of those stacks and does only network work.
 Generator fakes stay per step, since they read the generator's parameters.
 The blocks change no value: the draws are the ones a per-step loop makes,
@@ -74,7 +71,7 @@ from .model import (
 )
 from .rng import Rng, derive_seed, seeded_normals
 
-TERMS = ("ss", "su", "tu", "sa", "ta")
+TERMS = ("ss", "tu", "ta")
 
 
 def _convert_fields(obj, converters: dict, where: str) -> None:
@@ -250,14 +247,13 @@ class TrainConfig:
     fake_sampler: GeneratorSettings | str = "gaussian_input"
     mmd_gamma: float | str = "median-heuristic"
     hidden_dims: tuple[int, ...] = (64, 64)
-    # Pseudo-labels picked from a freshly initialized network are arbitrary
-    # and the contradistinguish term locks them in (Adam rescales even a
-    # small weight to a full-size step), so the loss terms are staged:
-    # epochs <= warmup train ss only, then tu/su ramp linearly to full over
-    # ramp_epochs, then ta/sa ramp over the following ramp_epochs.  The
-    # adversarial push toward uniform outputs can tip a freshly locked
-    # assignment into its mirror image unless the unsupervised terms are at
-    # full strength first.
+    # Pseudo-labels picked from a freshly initialized network are arbitrary,
+    # and the contradistinguish term locks in whatever labels it starts from,
+    # under either optimizer; so the loss terms are staged: epochs <= warmup
+    # train ss only, then tu ramps linearly to full over ramp_epochs, then ta
+    # over the following ramp_epochs.  The adversarial push toward uniform
+    # outputs can tip a freshly locked assignment into its mirror image
+    # unless tu is at full strength first.
     warmup_epochs: int = 10
     ramp_epochs: int = 10
     seed: int = 0
@@ -287,13 +283,9 @@ class TrainConfig:
         if "ss" not in seen:
             raise ValidationError("the ss term is the anchor and must stay enabled")
         # tu compares a batch's rows; Gaussian fakes fit a std to a batch
-        for term in ("tu", "sa") if generator else ("tu", "ta", "sa"):
+        for term in ("tu",) if generator else ("tu", "ta"):
             if term in seen and self.batch_size < 2:
                 raise ValidationError(f"{term} needs batch_size >= 2")
-        if "sa" in seen and generator:
-            raise ValidationError(
-                "sa needs the Gaussian fake sampler: the generator only models the target"
-            )
         if generator and "ta" not in seen:
             raise ValidationError(
                 "the generator fake_sampler needs the ta term: the generator only makes ta's fakes"
@@ -528,7 +520,6 @@ def train(
     params = init_params((d, *cfg.hidden_dims, k), derive_seed(cfg.seed, "init"))
     optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     prior_t = estimate_target_prior(cfg, sources)
-    source_priors = [estimate_prior(s.labels, k) for s in sources]
 
     src_streams = [
         _BatchStream(s.n, cfg.batch_size, Rng(derive_seed(cfg.seed, f"shuffle/source/{r}")))
@@ -537,10 +528,7 @@ def train(
     tgt_stream = _BatchStream(
         target.n, cfg.batch_size, Rng(derive_seed(cfg.seed, "shuffle/target"))
     )
-    # independent fake-sample seed streams so enabling one adversarial term
-    # never shifts the other's draws
     fake_seeds_ta = Rng(derive_seed(cfg.seed, "fake/ta"))
-    fake_seeds_sa = Rng(derive_seed(cfg.seed, "fake/sa"))
 
     gen = None
     gs = cfg.fake_sampler
@@ -551,9 +539,9 @@ def train(
         gen_optimizer = OPTIMIZERS[cfg.optimizer](gs.lr)
         gen_noise = Rng(derive_seed(cfg.seed, "gen-noise"))
 
-    # the current block's Gaussian fakes: ta's (steps, batch, d) and sa's
-    # (steps, sources, batch, d), drawn at the start of each block
-    ta_fakes = sa_fakes = None
+    # the current block's Gaussian fakes, (steps, batch, d), drawn at the
+    # start of each block
+    ta_fakes = None
 
     def target_fakes(step: int) -> np.ndarray:
         if gen is None:
@@ -561,9 +549,9 @@ def train(
         noise = gen_noise.normal(cfg.batch_size * gen.input_dim)
         return forward(gen, noise.reshape(cfg.batch_size, gen.input_dim)).logits
 
-    def contradist(trace, prior: Priors):
-        labels = pseudo_label_select(trace.probs, prior)
-        return trace, contradistinguish_loss(trace, labels, prior)
+    def contradist(trace):
+        labels = pseudo_label_select(trace.probs, prior_t)
+        return trace, contradistinguish_loss(trace, labels, prior_t)
 
     def adversarial(fakes: np.ndarray):
         trace = forward(params, fakes)
@@ -576,22 +564,17 @@ def train(
     unsup, adv = cfg.warmup_epochs, cfg.warmup_epochs + cfg.ramp_epochs
     table = [
         ("ss", None, lambda src, tgt, step: [(t, ce_loss(t, y)) for y, t in src]),
-        ("tu", unsup, lambda src, tgt, step: [contradist(tgt, prior_t)]),
-        ("su", unsup, lambda src, tgt, step: [
-            contradist(t, prior) for (_, t), prior in zip(src, source_priors)
-        ]),
+        ("tu", unsup, lambda src, tgt, step: [contradist(tgt)]),
         ("ta", adv, lambda src, tgt, step: [adversarial(target_fakes(step))]),
-        ("sa", adv, lambda src, tgt, step: [adversarial(x) for x in sa_fakes[step]]),
     ]
     table = [row for row in table if row[0] in terms]
     need_target_trace = "tu" in terms or gen is not None
 
     grad = np.zeros_like(params.flat)
     n_batch = -(-max(max(s.n for s in sources), target.n) // cfg.batch_size)
-    n_src = len(sources)
-    # steps per block: sa's raw draws for one step, n_src * (batch * d + 1)
-    # entries at most, are the largest array a block draws
-    block = max(1, MAX_BATCH_ENTRIES // (n_src * (cfg.batch_size * d + 1)))
+    # steps per block: ta's raw draws for one step, batch * d + 1 entries at
+    # most, are the largest array a block draws
+    block = max(1, MAX_BATCH_ENTRIES // (cfg.batch_size * d + 1))
     loss_keys = [t for t in TERMS if t in terms]
     if gen is not None:
         loss_keys.append("gen")
@@ -620,9 +603,6 @@ def train(
             tgt_x = target.features[tgt_idx[lo : lo + steps]]
             if "ta" in terms and gen is None:
                 ta_fakes = sample_fake_gaussian(tgt_x, fake_seeds_ta._raw(steps))
-            if "sa" in terms:  # seeds step-major: step j's source r takes draw j * n_src + r
-                seeds = fake_seeds_sa._raw(steps * n_src).reshape(steps, n_src)
-                sa_fakes = sample_fake_gaussian(np.stack(src_x, axis=1), seeds)
 
             for step in range(steps):
                 grad.fill(0.0)

@@ -1,7 +1,7 @@
 """Shared test oracles: independent trace construction, finite differences,
 the n x n form of the contradistinguish loss, and plain-expression forms of
 the network passes, the Adam step and one batch's Gaussian fakes; and the
-child-interpreter and hash-grid scaffolding the process-level tests share."""
+child-interpreter and tool-loading scaffolding the process-level tests share."""
 
 import importlib.util
 import os
@@ -22,9 +22,9 @@ SRC = Path(contradist.__file__).parents[1]
 HASH_GRID_GOLDEN = ROOT / "tests" / "hash_grid_golden.txt"
 
 
-def load_hash_grid():
-    """tools/hash_grid.py as a module; its build() names the NumPy/BLAS build."""
-    spec = importlib.util.spec_from_file_location("hash_grid", ROOT / "tools" / "hash_grid.py")
+def load_tool(name: str):
+    """tools/<name>.py as a module (hash_grid's build() names the NumPy/BLAS build)."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

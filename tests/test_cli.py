@@ -411,14 +411,6 @@ class TestTrain:
         history = [json.loads(l) for l in (out_dir / "history.jsonl").read_text().splitlines()]
         assert all("gen" not in record["losses"] for record in history)
 
-    def test_sa_with_generator_sampler_exits_1(self, tmp_path, capsys):
-        code, out_dir = fast_train(
-            tmp_path, tmp_path / "data", extra=("--terms", "ss,sa", "--fake-sampler", "generator")
-        )
-        assert code == 1
-        assert_one_line_error(capsys, "sa needs the Gaussian fake sampler")
-        assert not out_dir.exists()
-
     @pytest.mark.parametrize(
         "train_section, message",
         [
@@ -1125,8 +1117,8 @@ NO_SUCH_FILE = "No such file or directory"
          "the generator fake_sampler needs the ta term"),
         (TRAIN_PATHS, [*TRAIN, "--fake-sampler", "generator", "--terms", "ss,tu"],
          "the generator fake_sampler needs the ta term"),
-        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,tu", "--weights", "sa=0.5"],
-         "term weight 'sa' is for a term this run does not train"),
+        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,tu", "--weights", "ta=0.5"],
+         "term weight 'ta' is for a term this run does not train"),
         (TRAIN_PATHS, [*TRAIN, "--weights", "gen=2"], "unknown term weight 'gen'"),
         (TRAIN_PATHS, [*TRAIN, "--hidden-dims", "100000000"],
          "classifier hidden_dims give at least 300000001 parameters, "
@@ -1139,8 +1131,9 @@ NO_SUCH_FILE = "No such file or directory"
         (TRAIN_PATHS, [*TRAIN, "--prior", "0.5,0.6"], "priors must sum to 1, got 1.1"),
         (TRAIN_PATHS, [*TRAIN, "--terms", "ss,ta", "--batch-size", "1"],
          "ta needs batch_size >= 2"),
-        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,sa", "--batch-size", "1"],
-         "sa needs batch_size >= 2"),
+        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,su"], "unknown loss term 'su'"),
+        ({**TRAIN_PATHS, "train": {"term_weights": {"sa": 0.5}}}, TRAIN,
+         "unknown term weight 'sa'"),
         ({**TRAIN_PATHS, "train": {"batch_size": 10**9}}, TRAIN,
          "batch_size 1000000000 is more than MAX_BATCH_SIZE = 65536"),
         (None, ["gen-data", "--preset", "aligned", "--samples-per-class", "100001",
@@ -1246,7 +1239,8 @@ NO_SUCH_FILE = "No such file or directory"
         "generator-without-ta", "generator-flag-without-ta", "weight-flag-for-absent-term",
         "gen-weight-flag-gaussian-sampler",
         "train-network-too-large", "train-hidden-layers-too-large", "generator-too-large",
-        "train-prior-sum", "ta-gaussian-batch-of-one", "sa-batch-of-one",
+        "train-prior-sum", "ta-gaussian-batch-of-one", "removed-term-su",
+        "removed-term-weight-sa",
         "train-batch-size-too-large", "gen-data-samples-per-class-too-large",
         "sweep-samples-per-class-too-large", "blob-samples-per-class-too-large",
         "train-hidden-dims-str", "generator-hidden-dims-str", "train-terms-str",

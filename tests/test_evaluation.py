@@ -18,7 +18,7 @@ from contradist.evaluation import (
     save_contour_csv,
 )
 from contradist.model import MAX_BATCH_ENTRIES, forward, init_params
-from helpers import golden_build, load_hash_grid, net_with_biases
+from helpers import golden_build, load_tool, net_with_biases
 
 # SHA-256 of the contour.csv pinned below, recorded on the hash grid's golden build
 PINNED_BUILD = golden_build()
@@ -201,7 +201,7 @@ class TestContourGrid:
 
     def test_csv_bytes_pinned(self, tmp_path):
         # 100**2 rows: one full CHUNK_ROWS chunk and a partial one
-        running = load_hash_grid().build()
+        running = load_tool("hash_grid").build()
         if running != PINNED_BUILD:
             pytest.skip(f"hash recorded on {PINNED_BUILD!r}; this build is {running!r}")
         grid = contour_grid(net_with_biases((2, 64, 64, 3), 11), (-3.0, 3.0, -2.0, 2.0), 100)

@@ -1,4 +1,4 @@
-"""The 56-cell hash grid against its committed golden file.
+"""The 44-cell hash grid against its committed golden file.
 
 `tools/hash_grid.py` trains every cell of a fixed-seed grid and prints the
 SHA-256 of its parameters and history; `hash_grid_golden.txt` is that output,
@@ -11,11 +11,11 @@ never rewrites the golden file.
 
 import pytest
 
-from helpers import HASH_GRID_GOLDEN, load_hash_grid
+from helpers import HASH_GRID_GOLDEN, load_tool
 
 
 def test_grid_matches_the_golden_file():
-    hash_grid = load_hash_grid()
+    hash_grid = load_tool("hash_grid")
     header, *want = HASH_GRID_GOLDEN.read_text(encoding="utf-8").splitlines()
     recorded, running = header.removeprefix("# "), hash_grid.build()
     if recorded != running:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contradist import evaluation, model, trainer
-from contradist.dataset import BlobSpec, DomainDataset, make_blobs, split
+from contradist.dataset import BlobSpec, DomainDataset, make_blobs
 from contradist.errors import ValidationError
 from contradist.evaluation import predict
 from contradist.losses import kernel_mmd
@@ -22,7 +22,7 @@ from contradist.model import (
     init_params,
     param_count,
 )
-from contradist.rng import Rng, derive_seed
+from contradist.rng import Rng
 from contradist.trainer import (
     Adam,
     GeneratorSettings,
@@ -90,7 +90,7 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             TrainConfig(terms=("ss", "tu"), batch_size=1)
 
-    @pytest.mark.parametrize("term", ["ta", "sa"])
+    @pytest.mark.parametrize("term", ["ta"])
     def test_gaussian_fakes_need_batch_of_two(self, term):
         with pytest.raises(ValidationError, match=f"{term} needs batch_size >= 2"):
             TrainConfig(terms=("ss", term), batch_size=1)
@@ -105,13 +105,7 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             TrainConfig(optimizer="lbfgs")
 
-    def test_sa_rejects_generator_sampler(self):
-        with pytest.raises(ValidationError, match="sa needs the Gaussian"):
-            TrainConfig(terms=("ss", "sa"), fake_sampler=GeneratorSettings())
-
-    @pytest.mark.parametrize(
-        "terms", [["ss"], ["ss", "tu"], ["ss", "tu", "su"]], ids=["ss", "ss,tu", "ss,tu,su"]
-    )
+    @pytest.mark.parametrize("terms", [["ss"], ["ss", "tu"]], ids=["ss", "ss,tu"])
     def test_generator_sampler_needs_ta(self, terms):
         message = "the generator fake_sampler needs the ta term"
         with pytest.raises(ValidationError, match=message):
@@ -123,15 +117,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, message",
         [
-            ({"terms": ["ss", "tu"], "term_weights": {"sa": 0.5}},
-             "term weight 'sa' is for a term this run does not train"),
             ({"terms": ["ss", "tu"], "term_weights": {"tu": 1, "ta": 0}},
              "term weight 'ta' is for a term this run does not train"),
             # gen is no term: the generator's own lr alone sets its step
             ({"term_weights": {"gen": 2}}, "unknown term weight 'gen'"),
             ({"term_weights": {"gen": 2}, "fake_sampler": {}}, "unknown term weight 'gen'"),
         ],
-        ids=["sa-not-in-terms", "zero-weight-not-in-terms", "gen-without-generator",
+        ids=["zero-weight-not-in-terms", "gen-without-generator",
              "gen-with-generator"],
     )
     def test_term_weights_name_only_trained_terms(self, section, message):
@@ -445,18 +437,13 @@ class TestTrain:
 
     def test_zero_weight_equals_removed_term(self):
         src, tgt = toy_domains()
-        src2 = DomainDataset(src.features + 0.5, src.labels.copy(), "d2")
-        # su and sa run once per source, so check them with two sources
-        for term, sources in (("ta", [src]), ("su", [src, src2]), ("sa", [src, src2])):
-            zeroed, _ = train(
-                quick_cfg(terms=("ss", "tu", term), term_weights={term: 0.0}),
-                sources,
-                tgt.without_labels(),
-            )
-            removed, _ = train(
-                quick_cfg(terms=("ss", "tu")), sources, tgt.without_labels()
-            )
-            assert params_equal(zeroed, removed), term
+        zeroed, _ = train(
+            quick_cfg(terms=("ss", "tu", "ta"), term_weights={"ta": 0.0}),
+            [src],
+            tgt.without_labels(),
+        )
+        removed, _ = train(quick_cfg(terms=("ss", "tu")), [src], tgt.without_labels())
+        assert params_equal(zeroed, removed)
 
     def test_zero_tu_weight_equals_removed_tu(self):
         src, tgt = toy_domains()
@@ -496,11 +483,11 @@ class TestTrain:
 
     def test_history_shape_and_finiteness(self):
         src, tgt = toy_domains()
-        cfg = quick_cfg(terms=("ss", "su", "tu", "sa", "ta"), epochs=5)
+        cfg = quick_cfg(terms=("ss", "tu", "ta"), epochs=5)
         _, history = train(cfg, [src], tgt.without_labels())
         assert len(history.records) == cfg.epochs
         for rec in history.records:
-            assert sorted(rec.losses) == ["sa", "ss", "su", "ta", "tu"]
+            assert list(rec.losses) == ["ss", "tu", "ta"]
             assert all(np.isfinite(v) for v in rec.losses.values())
             assert np.isfinite(rec.total)
 
@@ -546,47 +533,17 @@ class TestTrain:
         assert built == [(2, 16, 2), (4, 16, 2)][:nets]
         assert ("gen" in history.records[0].losses) == (nets == 2)
 
-    def test_sa_seeds_are_drawn_step_major_across_sources(self, monkeypatch):
-        src, tgt = toy_domains()
-        sources = [src, DomainDataset(src.features + 1.0, src.labels.copy(), "d2")]
-        cfg = quick_cfg(epochs=2, terms=("ss", "sa"))
-        calls = []
-        real = trainer.sample_fake_gaussian
-
-        def recording(features, seed):
-            calls.append((np.array(features), np.array(seed)))
-            return real(features, seed)
-
-        monkeypatch.setattr(trainer, "sample_fake_gaussian", recording)
-        train(cfg, sources, tgt.without_labels())
-        stream = Rng(derive_seed(cfg.seed, "fake/sa"))
-        rows = [{r.tobytes() for r in s.features} for s in sources]
-        steps = 0
-        for features, seeds in calls:
-            k = seeds.shape[0]
-            steps += k
-            assert seeds.shape == (k, 2)
-            assert features.shape == (k, 2, cfg.batch_size, 2)
-            # step j's source r takes the stream's draw j * 2 + r
-            assert [int(z) for z in seeds.ravel()] == [stream.next_u64() for _ in range(2 * k)]
-            for r in (0, 1):
-                assert all(x.tobytes() in rows[r] for x in features[:, r].reshape(-1, 2))
-        assert steps == cfg.epochs * -(-src.n // cfg.batch_size)
-
     def test_blocked_draws_give_the_same_parameters(self, monkeypatch):
         src, tgt = toy_domains()
         sources = [src, DomainDataset(src.features + 1.0, src.labels.copy(), "d2")]
-        cfg = quick_cfg(
-            batch_size=8, hidden_dims=(4,), epochs=3, terms=("ss", "tu", "su", "ta", "sa")
-        )
+        cfg = quick_cfg(batch_size=8, hidden_dims=(4,), epochs=3, terms=("ss", "tu", "ta"))
         real = trainer.sample_fake_gaussian
 
         def run():
             blocks = []  # steps per block, from the ta draws
 
             def recording(features, seed):
-                if np.ndim(seed) == 1:
-                    blocks.append(len(seed))
+                blocks.append(len(seed))
                 return real(features, seed)
 
             monkeypatch.setattr(trainer, "sample_fake_gaussian", recording)
@@ -595,9 +552,9 @@ class TestTrain:
         (whole, h_whole), blocks = run()
         n_batch = -(-src.n // cfg.batch_size)
         assert blocks == [n_batch] * cfg.epochs
-        # a step's sa draw: 2 sources x (8 x 2 + 1) = 34 entries; its widest
-        # network array 8 x 4 = 32 entries, under the lowered bound
-        monkeypatch.setattr(trainer, "MAX_BATCH_ENTRIES", 3 * 34)
+        # a step's ta draw: 8 x 2 + 1 = 17 entries; its widest network array
+        # 8 x 4 = 32 entries, under the lowered bound
+        monkeypatch.setattr(trainer, "MAX_BATCH_ENTRIES", 3 * 17)
         (blocked, h_blocked), blocks = run()
         assert blocks == ([3] * (n_batch // 3) + [n_batch % 3]) * cfg.epochs
         assert n_batch % 3 != 0
