@@ -123,16 +123,6 @@ def _numbers(text: str, kind: type = float) -> list:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _term_weights(text: str) -> dict[str, str]:
-    weights = {}
-    for item in _csv_list(text):
-        term, _, value = item.partition("=")
-        if not value:
-            raise argparse.ArgumentTypeError(f"bad --weights item {item!r}, expected term=value")
-        weights[term] = value
-    return weights
-
-
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
@@ -197,7 +187,6 @@ def cmd_gen_data(args) -> int:
 # train flags that set the train key of their own name
 _TRAIN_FLAGS = (
     "epochs", "batch_size", "lr", "optimizer", "seed", "terms", "hidden_dims", "prior",
-    "term_weights",
 )
 
 
@@ -531,10 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=lambda text: "estimate_from_source" if text == "estimate" else _csv_list(text),
     )
     p.add_argument("--fake-sampler", choices=("gaussian", "generator"))
-    p.add_argument(
-        "--weights", dest="term_weights", type=_term_weights,
-        help="term=value list, e.g. ss=1.0,tu=0.5",
-    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a labeled CSV")

@@ -191,18 +191,6 @@ class Sgd:
 OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
 
-class _FrozenDict(dict):
-    """A dict that refuses edits in place; still a dict to asdict, json and pickle."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("read-only dict; build a new config to change it")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 # How TrainConfig turns each value it is given into its field's type
 _TRAIN_CONVERTERS = {
     "batch_size": as_int,
@@ -210,7 +198,6 @@ _TRAIN_CONVERTERS = {
     "lr": as_float,
     "optimizer": str,
     "terms": _items,
-    "term_weights": lambda w: _FrozenDict((k, as_float(v)) for k, v in dict(w).items()),
     "prior": lambda p: p if isinstance(p, str) else tuple(as_float(x) for x in p),
     "fake_sampler": _sampler,
     "mmd_gamma": lambda g: g if g == "median-heuristic" else as_float(g),
@@ -228,13 +215,13 @@ class TrainConfig:
 
     Values are converted (_TRAIN_CONVERTERS) and checked when the config is
     built, where a bad one raises ValidationError; fields cannot be reassigned
-    afterwards, nor ``term_weights`` edited in place.  ``prior`` is
-    "estimate_from_source" or class probabilities, ``fake_sampler``
-    "gaussian_input" or GeneratorSettings (or a dict of its fields; the
-    terms then need ta, and the classifier a hidden layer), ``mmd_gamma``
-    "median-heuristic" or, with the generator, a positive finite kernel
-    bandwidth.  ``term_weights`` names only terms in ``terms``; the
-    generator's step size is set by its own ``lr`` alone.
+    afterwards.  ``prior`` is "estimate_from_source" or class probabilities,
+    ``fake_sampler`` "gaussian_input" or GeneratorSettings (or a dict of its
+    fields; the terms then need ta, and the classifier a hidden layer),
+    ``mmd_gamma`` "median-heuristic" or, with the generator, a positive
+    finite kernel bandwidth.  A term has no weight of its own: each step
+    weights ss by 1 and tu and ta by their ramp (below), and the generator's
+    step size is set by its own ``lr`` alone.
     """
 
     batch_size: int = 128
@@ -242,7 +229,6 @@ class TrainConfig:
     lr: float = 1e-3
     optimizer: str = "adam"  # a key of OPTIMIZERS (Adam: beta1 0.9, beta2 0.999, eps 1e-8)
     terms: tuple[str, ...] = ("ss", "tu", "ta")
-    term_weights: dict[str, float] = field(default_factory=dict)
     prior: str | tuple[float, ...] = "estimate_from_source"
     fake_sampler: GeneratorSettings | str = "gaussian_input"
     mmd_gamma: float | str = "median-heuristic"
@@ -290,15 +276,6 @@ class TrainConfig:
             raise ValidationError(
                 "the generator fake_sampler needs the ta term: the generator only makes ta's fakes"
             )
-        for term, w in self.term_weights.items():
-            if term not in TERMS:
-                raise ValidationError(f"unknown term weight {term!r}")
-            if term not in seen:
-                raise ValidationError(
-                    f"term weight {term!r} is for a term this run does not train"
-                )
-            if not (w >= 0 and np.isfinite(w)):
-                raise ValidationError(f"weight for {term!r} must be >= 0")
         if not isinstance(self.prior, str):
             Priors(self.prior)
         elif self.prior != "estimate_from_source":
@@ -320,9 +297,6 @@ class TrainConfig:
             raise ValidationError("warmup_epochs must be >= 0")
         if self.ramp_epochs < 0:
             raise ValidationError("ramp_epochs must be >= 0")
-
-    def weight(self, term: str) -> float:
-        return float(self.term_weights.get(term, 1.0))
 
 
 def train_config_from_dict(obj: dict) -> TrainConfig:
@@ -590,7 +564,7 @@ def train(
 
     history = TrainHistory()
     for epoch in range(1, cfg.epochs + 1):
-        weights = {name: ramp(epoch, start) * cfg.weight(name) for name, start, _ in table}
+        weights = {name: ramp(epoch, start) for name, start, _ in table}
         sums = {key: 0.0 for key in loss_keys}
         total_sum = 0.0
         right = 0  # source-batch rows the ss traces classify right

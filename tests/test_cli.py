@@ -63,7 +63,7 @@ def assert_one_line_error(capsys, message):
 # numeric gamma, and values that need converting
 FULL_TRAIN = {
     "batch_size": 16, "epochs": 2, "lr": "0.004", "optimizer": "sgd",
-    "terms": ["ss", "tu", "ta"], "term_weights": {"tu": 1, "ta": "0.5"},
+    "terms": ["ss", "tu", "ta"],
     "prior": [0.4, "0.6"], "fake_sampler": {"noise_dim": "3", "hidden_dims": [8], "lr": 0.002},
     "mmd_gamma": 0.5, "hidden_dims": [8, "8"], "warmup_epochs": 0, "ramp_epochs": 1, "seed": 4,
 }
@@ -87,10 +87,6 @@ FULL_CONFIG_JSON = """\
       "tu",
       "ta"
     ],
-    "term_weights": {
-      "tu": 1.0,
-      "ta": 0.5
-    },
     "prior": [
       0.4,
       0.6
@@ -342,7 +338,6 @@ class TestTrain:
             "--target", "d1", "--out", "run", "--terms", "ss,tu,ta", "--epochs", "2",
             "--batch-size", "16", "--lr", "0.004", "--optimizer", "sgd", "--seed", "4",
             "--hidden-dims", "8,8", "--prior", "0.4,0.6", "--fake-sampler", "generator",
-            "--weights", "tu=1,ta=0.5",
         ]
         assert None not in vars(build_parser().parse_args(argv)).values()  # every flag given
         assert main(argv) == 0
@@ -429,11 +424,6 @@ class TestTrain:
     def test_malformed_config_json_exits_1(self, tmp_path, capsys):
         assert train_with_config(tmp_path, '{"train": {"epochs": 2') == 1
         assert_one_line_error(capsys, "malformed JSON")
-
-    def test_unconvertible_weight_flag_exits_1(self, tmp_path, capsys):
-        code, _ = fast_train(tmp_path, tmp_path / "data", extra=("--weights", "ss=abc"))
-        assert code == 1
-        assert_one_line_error(capsys, "could not convert string to float: 'abc'")
 
     @pytest.mark.parametrize(
         "artifact",
@@ -1062,8 +1052,6 @@ NO_SUCH_FILE = "No such file or directory"
          "unknown loss term 'bogus'"),
         ({**TRAIN_PATHS, "train": {"lr": True}}, TRAIN,
          "bad train config value for 'lr': expected a number, got True"),
-        ({**TRAIN_PATHS, "train": {"term_weights": {"tu": False}}}, TRAIN,
-         "bad train config value for 'term_weights': expected a number, got False"),
         ({**TRAIN_PATHS, "train": {"mmd_gamma": True}}, TRAIN,
          "bad train config value for 'mmd_gamma': expected a number, got True"),
         ({**TRAIN_PATHS, "train": {"fake_sampler": {"lr": True}}}, TRAIN,
@@ -1117,9 +1105,6 @@ NO_SUCH_FILE = "No such file or directory"
          "the generator fake_sampler needs the ta term"),
         (TRAIN_PATHS, [*TRAIN, "--fake-sampler", "generator", "--terms", "ss,tu"],
          "the generator fake_sampler needs the ta term"),
-        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,tu", "--weights", "ta=0.5"],
-         "term weight 'ta' is for a term this run does not train"),
-        (TRAIN_PATHS, [*TRAIN, "--weights", "gen=2"], "unknown term weight 'gen'"),
         (TRAIN_PATHS, [*TRAIN, "--hidden-dims", "100000000"],
          "classifier hidden_dims give at least 300000001 parameters, "
          "more than MAX_PARAMS = 10000000"),
@@ -1133,7 +1118,10 @@ NO_SUCH_FILE = "No such file or directory"
          "ta needs batch_size >= 2"),
         (TRAIN_PATHS, [*TRAIN, "--terms", "ss,su"], "unknown loss term 'su'"),
         ({**TRAIN_PATHS, "train": {"term_weights": {"sa": 0.5}}}, TRAIN,
-         "unknown term weight 'sa'"),
+         "unknown train config key 'term_weights'"),
+        ({**TRAIN_PATHS, "train": {"term_weights": {"tu": 0.5}}}, TRAIN,
+         "unknown train config key 'term_weights'"),
+        (TRAIN_PATHS, [*TRAIN, "--weights", "tu=0.5"], "unrecognized arguments: --weights tu=0.5"),
         ({**TRAIN_PATHS, "train": {"batch_size": 10**9}}, TRAIN,
          "batch_size 1000000000 is more than MAX_BATCH_SIZE = 65536"),
         (None, ["gen-data", "--preset", "aligned", "--samples-per-class", "100001",
@@ -1168,10 +1156,8 @@ NO_SUCH_FILE = "No such file or directory"
         (None, ["contour", "--checkpoint", "{ckpt}", "--bounds=-1,1,-1,1", "--resolution", "2",
                 "--out", "{dir}"],
          "Is a directory: '{dir}'"),
-        (TRAIN_PATHS, [*TRAIN, "--fake-sampler", "generator", "--weights", "gen=2"],
-         "unknown term weight 'gen'"),
         ({**TRAIN_PATHS, "train": {"fake_sampler": {}, "term_weights": {"gen": 2}}}, TRAIN,
-         "unknown term weight 'gen'"),
+         "unknown train config key 'term_weights'"),
         *[({**TRAIN_PATHS, "train": {"fake_sampler": {}, "mmd_gamma": gamma}}, TRAIN,
            f"mmd_gamma must be positive and finite, got {shown}")
           for gamma, shown in ((0, "0.0"), (-1, "-1.0"), (float("nan"), "nan"),
@@ -1212,8 +1198,6 @@ NO_SUCH_FILE = "No such file or directory"
         (TRAIN_PATHS, ["train", "--config", "{cfg}"], "--out is required (flag or config)"),
         (None, [*CONTOUR, "--bounds", "0,1,2"], "--bounds needs x_min,x_max,y_min,y_max"),
         (TRAIN_PATHS, [*TRAIN, "--terms", ","], "argument --terms: empty list argument ','"),
-        (TRAIN_PATHS, [*TRAIN, "--weights", "tu"],
-         "argument --weights: bad --weights item 'tu', expected term=value"),
         (None, ["gen-data", "--out", "{out}"], "need --preset or a config with domains"),
     ],
     ids=[
@@ -1225,7 +1209,7 @@ NO_SUCH_FILE = "No such file or directory"
         "train-batch-size-fraction", "generator-noise-dim-fraction",
         "blob-samples-per-class-fraction", "blob-seed-fraction", "blob-seed-bool",
         "sweep-samples-per-class-0", "sweep-lr-negative", "sweep-epochs-negative",
-        "sweep-unknown-term", "train-lr-bool", "train-weight-bool", "train-mmd-gamma-bool",
+        "sweep-unknown-term", "train-lr-bool", "train-mmd-gamma-bool",
         "generator-lr-bool", "blob-rotation-bool", "blob-offset-bool", "blob-center-bool",
         "blob-std-bool", "gen-data-unsplittable", "sweep-unsplittable", "train-fake-sampler-typo",
         "sweep-direction-typo", "noise-dim-flag-removed", "gen-lr-flag-removed",
@@ -1236,17 +1220,16 @@ NO_SUCH_FILE = "No such file or directory"
         "gen-data-config-missing", "eval-checkpoint-missing", "eval-data-missing",
         "contour-checkpoint-missing", "contour-data-missing", "contour-bounds-and-data",
         "contour-no-frame", "generator-no-hidden-layer", "mmd-gamma-gaussian-sampler",
-        "generator-without-ta", "generator-flag-without-ta", "weight-flag-for-absent-term",
-        "gen-weight-flag-gaussian-sampler",
+        "generator-without-ta", "generator-flag-without-ta",
         "train-network-too-large", "train-hidden-layers-too-large", "generator-too-large",
         "train-prior-sum", "ta-gaussian-batch-of-one", "removed-term-su",
-        "removed-term-weight-sa",
+        "removed-term-weight-sa", "removed-term-weights", "removed-weights-flag",
         "train-batch-size-too-large", "gen-data-samples-per-class-too-large",
         "sweep-samples-per-class-too-large", "blob-samples-per-class-too-large",
         "train-hidden-dims-str", "generator-hidden-dims-str", "train-terms-str",
         "train-config-is-dir", "eval-checkpoint-is-dir", "train-data-dir-is-file",
         "train-out-is-file", "gen-data-out-is-file", "sweep-out-is-file", "eval-out-is-dir",
-        "contour-out-is-dir", "gen-weight-flag-generator", "gen-weight-in-config",
+        "contour-out-is-dir", "gen-weight-in-config",
         "mmd-gamma-zero", "mmd-gamma-negative", "mmd-gamma-nan", "mmd-gamma-inf",
         "mmd-gamma-unknown-mode", "train-prior-entry-overflow", "blob-std-overflow",
         "gen-data-no-domains", "train-duplicate-term", "train-prior-unknown-mode",
@@ -1255,7 +1238,7 @@ NO_SUCH_FILE = "No such file or directory"
         "train-source-widths-differ", "train-source-one-class", "csv-header-only",
         "csv-feature-not-a-number", "csv-label-not-an-integer", "csv-label-below-minus-1",
         "contour-data-not-2-d", "config-is-a-list", "config-schema-version-2",
-        "train-out-missing", "contour-bounds-count", "train-terms-empty", "train-weights-no-value",
+        "train-out-missing", "contour-bounds-count", "train-terms-empty",
         "gen-data-no-preset",
     ],
 )

@@ -1,6 +1,5 @@
 """Training loop contracts: determinism, term handling, fakes, generator."""
 
-import pickle
 import re
 from dataclasses import FrozenInstanceError, asdict, replace
 
@@ -97,10 +96,6 @@ class TestConfigValidation:
         # the generator draws its fakes from noise, so ta runs on one row
         TrainConfig(terms=("ss", "ta"), batch_size=1, fake_sampler=GeneratorSettings())
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(term_weights={"tu": -1.0})
-
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ValidationError):
             TrainConfig(optimizer="lbfgs")
@@ -113,24 +108,6 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=message):
             train_config_from_dict({"terms": terms, "fake_sampler": {}})
         TrainConfig(terms=[*terms, "ta"], fake_sampler=GeneratorSettings())  # accepted with ta
-
-    @pytest.mark.parametrize(
-        "section, message",
-        [
-            ({"terms": ["ss", "tu"], "term_weights": {"tu": 1, "ta": 0}},
-             "term weight 'ta' is for a term this run does not train"),
-            # gen is no term: the generator's own lr alone sets its step
-            ({"term_weights": {"gen": 2}}, "unknown term weight 'gen'"),
-            ({"term_weights": {"gen": 2}, "fake_sampler": {}}, "unknown term weight 'gen'"),
-        ],
-        ids=["zero-weight-not-in-terms", "gen-without-generator",
-             "gen-with-generator"],
-    )
-    def test_term_weights_name_only_trained_terms(self, section, message):
-        with pytest.raises(ValidationError, match=message):
-            train_config_from_dict(section)
-        with pytest.raises(ValidationError, match=message):
-            TrainConfig(**section)
 
     @pytest.mark.parametrize(
         "gamma, message",
@@ -201,7 +178,7 @@ class TestConfigValidation:
             validate_inputs(cfg, [src], tgt)
 
     def test_dict_round_trip(self):
-        cfg = quick_cfg(fake_sampler=GeneratorSettings(noise_dim=3), term_weights={"tu": 0.5})
+        cfg = quick_cfg(fake_sampler=GeneratorSettings(noise_dim=3))
         assert train_config_from_dict(asdict(cfg)) == cfg
 
     def test_config_is_frozen_and_replace_validates(self):
@@ -210,19 +187,6 @@ class TestConfigValidation:
             cfg.batch_size = 0
         with pytest.raises(ValidationError, match="batch_size must be >= 1"):
             replace(cfg, batch_size=0)
-
-    def test_term_weights_cannot_be_edited_in_place(self):
-        cfg = quick_cfg(term_weights={"tu": 0.5})
-        for edit in (
-            lambda w: w.__setitem__("tu", -1.0), lambda w: w.update(tu=-1.0),
-            lambda w: w.setdefault("ta", -1.0), lambda w: w.pop("tu"), lambda w: w.clear(),
-        ):
-            with pytest.raises(TypeError, match="read-only"):
-                edit(cfg.term_weights)
-        assert cfg.weight("tu") == 0.5
-        assert asdict(cfg)["term_weights"] == {"tu": 0.5}
-        assert pickle.loads(pickle.dumps(cfg)) == cfg
-        assert replace(cfg, term_weights={"tu": 2}).weight("tu") == 2.0
 
     def test_integer_fields_accept_ints_and_integer_strings(self):
         cfg = train_config_from_dict(
@@ -262,17 +226,16 @@ class TestConfigValidation:
 
     def test_float_fields_accept_numbers_and_numeric_strings(self):
         cfg = train_config_from_dict(
-            {"lr": "0.01", "term_weights": {"tu": 2, "ta": "0.5"}, "mmd_gamma": 3,
-             "fake_sampler": {"lr": np.float32(0.5)}}
+            {"lr": "0.01", "mmd_gamma": 3, "fake_sampler": {"lr": np.float32(0.5)}}
         )
-        assert (cfg.lr, cfg.term_weights, cfg.mmd_gamma) == (0.01, {"tu": 2.0, "ta": 0.5}, 3.0)
+        assert (cfg.lr, cfg.mmd_gamma) == (0.01, 3.0)
         assert cfg.fake_sampler.lr == 0.5
 
     @pytest.mark.parametrize(
         "obj",
         [
             {"lr": True},
-            {"term_weights": {"tu": False}},
+            {"prior": [True, 0.0]},
             {"mmd_gamma": True},
             {"fake_sampler": {"lr": True}},
             {"lr": [0.1]},
@@ -435,27 +398,22 @@ class TestTrain:
         assert params_equal(p1, p2)
         assert h1 == h2
 
-    def test_zero_weight_equals_removed_term(self):
+    @pytest.mark.parametrize("sampler", ["gaussian_input", GeneratorSettings(noise_dim=3)],
+                             ids=["gauss", "gen"])
+    def test_warmup_trains_as_ss_alone(self, sampler):
+        # epochs <= warmup_epochs: tu and ta weigh 0, so no update reads them
         src, tgt = toy_domains()
-        zeroed, _ = train(
-            quick_cfg(terms=("ss", "tu", "ta"), term_weights={"ta": 0.0}),
-            [src],
-            tgt.without_labels(),
+        staged, h_staged = train(
+            quick_cfg(epochs=3, warmup_epochs=3, fake_sampler=sampler), [src], tgt.without_labels()
         )
-        removed, _ = train(quick_cfg(terms=("ss", "tu")), [src], tgt.without_labels())
-        assert params_equal(zeroed, removed)
-
-    def test_zero_tu_weight_equals_removed_tu(self):
-        src, tgt = toy_domains()
-        zeroed, _ = train(
-            quick_cfg(terms=("ss", "tu", "ta"), term_weights={"tu": 0.0}),
-            [src],
-            tgt.without_labels(),
+        alone, h_alone = train(
+            quick_cfg(terms=("ss",), epochs=3, warmup_epochs=3), [src], tgt.without_labels()
         )
-        removed, _ = train(
-            quick_cfg(terms=("ss", "ta")), [src], tgt.without_labels()
-        )
-        assert params_equal(zeroed, removed)
+        assert staged.flat.tobytes() == alone.flat.tobytes()
+        assert [r.losses["ss"] for r in h_staged.records] == [r.losses["ss"] for r in h_alone.records]
+        assert [r.source_train_accuracy for r in h_staged.records] == [
+            r.source_train_accuracy for r in h_alone.records
+        ]
 
     def test_two_sources_run_and_log_summed_ss(self):
         src, tgt = toy_domains()

@@ -1,4 +1,4 @@
-"""Print fixed-seed result hashes for the 44-cell training grid.
+"""Print fixed-seed result hashes for the 24-cell training grid.
 
 The first line is ``# `` and the NumPy/BLAS build, OpenBLAS kernel and
 machine that ran the grid.  Each further line is one cell: its id, the
@@ -20,10 +20,8 @@ std 0.5; 60 and 75 per class, rotated 0 and 15 degrees, seeds 1 and 2) and an
 unlabeled target (70 per class, 35 degrees, seed 3); batch 32, 8 epochs,
 warmup 1, ramp 2, hidden (16, 16), seed 7, lr 3e-3 (adam) or 1e-2 (sgd);
 generator noise_dim 4, hidden (16,), lr 1e-3; one source means the first.
-"mixed" weights are those of {tu: 0, ta: 0.5} that name the cell's terms.
-A "mixed" cell left with no weight would repeat its "default" cell, and the
-product also holds configs that ``train_config_from_dict`` refuses (the
-generator without ta); both kinds are left out.
+The product also holds configs that ``train_config_from_dict`` refuses (the
+generator without ta); they are left out.
 """
 
 import hashlib
@@ -43,7 +41,6 @@ from contradist.trainer import train, train_config_from_dict
 TERM_SETS = ("ss", "ss,tu", "ss,ta", "ss,tu,ta")
 SAMPLERS = {"gauss": "gaussian_input", "gen": {"noise_dim": 4, "hidden_dims": [16], "lr": 1e-3}}
 LRS = {"adam": 3e-3, "sgd": 1e-2}
-WEIGHTS = {"default": {}, "mixed": {"tu": 0.0, "ta": 0.5}}
 
 
 def blobs(samples: int, rotation: float, seed: int, domain_id: str):
@@ -54,16 +51,10 @@ def blobs(samples: int, rotation: float, seed: int, domain_id: str):
 
 def cells():
     """(cell id, source count, TrainConfig) for every kept cell, in a fixed order."""
-    for terms, fakes, n_src, opt, weights in itertools.product(
-        TERM_SETS, SAMPLERS, (1, 2), LRS, WEIGHTS
-    ):
-        names = terms.split(",")
-        term_weights = {t: w for t, w in WEIGHTS[weights].items() if t in names}
-        if weights == "mixed" and not term_weights:
-            continue
+    for terms, fakes, n_src, opt in itertools.product(TERM_SETS, SAMPLERS, (1, 2), LRS):
         section = {
             "batch_size": 32, "epochs": 8, "lr": LRS[opt], "optimizer": opt,
-            "terms": names, "term_weights": term_weights,
+            "terms": terms.split(","),
             "fake_sampler": SAMPLERS[fakes], "hidden_dims": [16, 16],
             "warmup_epochs": 1, "ramp_epochs": 2, "seed": 7,
         }
@@ -71,7 +62,7 @@ def cells():
             cfg = train_config_from_dict(section)
         except ValidationError:
             continue
-        yield f"{terms}/{fakes}/{n_src}src/{opt}/{weights}", n_src, cfg
+        yield f"{terms}/{fakes}/{n_src}src/{opt}", n_src, cfg
 
 
 def build() -> str:
