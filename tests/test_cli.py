@@ -425,6 +425,12 @@ class TestTrain:
         assert train_with_config(tmp_path, '{"train": {"epochs": 2') == 1
         assert_one_line_error(capsys, "malformed JSON")
 
+    def test_unconvertible_weight_flag_exits_1(self, tmp_path, capsys):
+        # the --weights flag is gone: it is refused before any value is parsed
+        code, _ = fast_train(tmp_path, tmp_path / "data", extra=("--weights", "ss=abc"))
+        assert code == 1
+        assert_one_line_error(capsys, "unrecognized arguments: --weights ss=abc")
+
     @pytest.mark.parametrize(
         "artifact",
         ["model.ckpt", "history.jsonl", "metrics_source_test.json", "metrics_target_test.json"],
@@ -1121,7 +1127,12 @@ NO_SUCH_FILE = "No such file or directory"
          "unknown train config key 'term_weights'"),
         ({**TRAIN_PATHS, "train": {"term_weights": {"tu": 0.5}}}, TRAIN,
          "unknown train config key 'term_weights'"),
-        (TRAIN_PATHS, [*TRAIN, "--weights", "tu=0.5"], "unrecognized arguments: --weights tu=0.5"),
+        (TRAIN_PATHS, [*TRAIN, "--terms", "ss,tu", "--weights", "ta=0.5"],
+         "unrecognized arguments: --weights ta=0.5"),
+        (TRAIN_PATHS, [*TRAIN, "--weights", "gen=2"], "unrecognized arguments: --weights gen=2"),
+        (TRAIN_PATHS, [*TRAIN, "--fake-sampler", "generator", "--weights", "gen=2"],
+         "unrecognized arguments: --weights gen=2"),
+        (TRAIN_PATHS, [*TRAIN, "--weights", "tu"], "unrecognized arguments: --weights tu"),
         ({**TRAIN_PATHS, "train": {"batch_size": 10**9}}, TRAIN,
          "batch_size 1000000000 is more than MAX_BATCH_SIZE = 65536"),
         (None, ["gen-data", "--preset", "aligned", "--samples-per-class", "100001",
@@ -1223,7 +1234,8 @@ NO_SUCH_FILE = "No such file or directory"
         "generator-without-ta", "generator-flag-without-ta",
         "train-network-too-large", "train-hidden-layers-too-large", "generator-too-large",
         "train-prior-sum", "ta-gaussian-batch-of-one", "removed-term-su",
-        "removed-term-weight-sa", "removed-term-weights", "removed-weights-flag",
+        "removed-term-weight-sa", "removed-term-weights", "weight-flag-for-absent-term",
+        "gen-weight-flag-gaussian-sampler", "gen-weight-flag-generator", "train-weights-no-value",
         "train-batch-size-too-large", "gen-data-samples-per-class-too-large",
         "sweep-samples-per-class-too-large", "blob-samples-per-class-too-large",
         "train-hidden-dims-str", "generator-hidden-dims-str", "train-terms-str",
