@@ -41,6 +41,28 @@ def test_ties_count_for_neither_side():
 
 
 @pytest.mark.parametrize(
+    "parent, change, better, expected",
+    [
+        ([1.0, 1.0, 1.1, 1.1], [1.3, 1.3, 1.4, 1.4], "lower", "worse"),
+        ([1.0, 1.0, 1.1, 1.1], [0.7, 0.7, 0.7, 0.7], "higher", "worse"),
+        ([1.0, 1.0, 1.1, 1.1], [1.05, 1.05, 1.1, 1.1], "lower", "within"),
+        ([0.6, 0.8, 1.2, 1.4], [0.7, 0.8, 1.2, 1.3], "lower", "unresolved"),
+        ([1.0, 1.5, 2.0, 2.5], [0.5, 0.6, 0.7, 0.8], "lower", "within"),
+    ],
+    ids=["slower", "lower-of-higher", "inside-bound", "wide-spread", "every-run-better"],
+)
+def test_verdict_against_the_bound(parent, change, better, expected):
+    assert bench_pairs.verdict(parent, change, better, 0.25)[1] == expected
+
+
+def test_fewer_than_ten_pairs_refused(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["a", "b", "--seed", "1", "--pairs", "9"])
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "body, message",
     [
         ("raise SystemExit(3)", "train-gen seed 1 in parent exited 3"),
@@ -60,7 +82,7 @@ def test_bad_run_ends_in_one_error_line_and_exit_2(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "export", export)
     monkeypatch.setattr(bench_pairs, "label", lambda side: side)
-    argv = ["a", "b", "--workloads", "train-gen", "--pairs", "3", "--seed", "1", "--seconds", "1"]
+    argv = ["a", "b", "--workloads", "train-gen", "--seed", "1"]
     assert bench_pairs.main(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith(f"error: {message}"), err

@@ -400,17 +400,28 @@ class TestTrain:
 
     @pytest.mark.parametrize("sampler", ["gaussian_input", GeneratorSettings(noise_dim=3)],
                              ids=["gauss", "gen"])
-    def test_warmup_trains_as_ss_alone(self, sampler):
-        # epochs <= warmup_epochs: tu and ta weigh 0, so no update reads them
+    @pytest.mark.parametrize(
+        "schedule, alone_terms",
+        [
+            # epochs <= warmup_epochs: tu and ta weigh 0
+            (dict(epochs=3, warmup_epochs=3), ("ss",)),
+            # epochs <= warmup_epochs + ramp_epochs: tu ramps in while ta weighs 0
+            (dict(epochs=4, warmup_epochs=2, ramp_epochs=2), ("ss", "tu")),
+        ],
+        ids=["warmup", "ramp"],
+    )
+    def test_zero_weight_terms_train_as_absent(self, schedule, alone_terms, sampler):
+        # a term that weighs 0 in every epoch run feeds no update
         src, tgt = toy_domains()
         staged, h_staged = train(
-            quick_cfg(epochs=3, warmup_epochs=3, fake_sampler=sampler), [src], tgt.without_labels()
+            quick_cfg(**schedule, fake_sampler=sampler), [src], tgt.without_labels()
         )
-        alone, h_alone = train(
-            quick_cfg(terms=("ss",), epochs=3, warmup_epochs=3), [src], tgt.without_labels()
-        )
+        alone, h_alone = train(quick_cfg(**schedule, terms=alone_terms), [src], tgt.without_labels())
         assert staged.flat.tobytes() == alone.flat.tobytes()
-        assert [r.losses["ss"] for r in h_staged.records] == [r.losses["ss"] for r in h_alone.records]
+        for term in alone_terms:
+            assert [r.losses[term] for r in h_staged.records] == [
+                r.losses[term] for r in h_alone.records
+            ]
         assert [r.source_train_accuracy for r in h_staged.records] == [
             r.source_train_accuracy for r in h_alone.records
         ]

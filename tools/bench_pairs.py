@@ -1,7 +1,7 @@
 """Run the benchmark on two trees in alternating pairs and compare them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --seed S [--workloads W,...]
-        [--pairs N] [--seconds T] [--claim TEXT]
+        [--pairs N] [--claim TEXT]
 
 PARENT and CHANGE are each a git revision, exported with ``git archive``, or
 ``.``, a copy of the working tree (tracked and untracked files that git does
@@ -11,7 +11,8 @@ For each workload (default: those BENCHMARK.json lists), pair i runs
     python3 perfbench/run.py --workload W --seed S+i --seconds T
 
 from the root of each tree, the parent first in even pairs and the change
-first in odd ones; T defaults to BENCHMARK.json's run_seconds.  Each run has
+first in odd ones.  T is BENCHMARK.json's run_seconds, so every record has
+the benchmark's run length; N is at least 10.  Each run has
 PYTHONPATH and the BLAS thread variables removed and PYTHONDONTWRITEBYTECODE=1
 set, so neither tree's later runs import from bytecode its first run wrote.
 
@@ -23,12 +24,18 @@ stdout lines; ``environment``, ``command`` and ``claim`` sit beside it.
 For each workload it then prints, per end-to-end metric of BENCHMARK.json:
 both medians, the median change/parent ratio, the pairs in which the change
 is better by the metric's direction (ties count for neither), the exact
-two-sided sign-test p over the pairs that are not tied, and the 2nd and
-(N-1)th smallest ratios; then the largest failed_frac of each side and the
-pairs whose param_sha256 agree.  A run that exits non-zero or whose last two
-lines are not a record and a result ends the tool with one ``error:`` line
-and exit 2, and nothing is written; so does an existing BENCH_<parent>.json,
-before anything runs.
+two-sided sign-test p over the pairs that are not tied, the 2nd and (N-1)th
+smallest ratios, the run-to-run spread, the metric's bound and a verdict
+against it; then the largest failed_frac of each side and the pairs whose
+param_sha256 agree.  The spread is the wider of the two sides' distances
+between quartiles, over the parent's median.  The verdict is ``worse`` when
+the change's median is worse than the parent's by more than the bound,
+else ``unresolved`` when the spread is wider than the bound and not every
+change run reads better than every parent run, else ``within``.
+
+A run that exits non-zero or whose last two lines are not a record and a
+result ends the tool with one ``error:`` line and exit 2, and nothing is
+written; so does an existing BENCH_<parent>.json, before anything runs.
 """
 
 import argparse
@@ -82,6 +89,18 @@ def pair_stats(parent: list[float], change: list[float], better: str) -> PairSta
     )
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float):
+    """The run-to-run spread and the verdict against ``bound``; see the module docstring."""
+    sign = 1 if better == "higher" else -1
+    base = statistics.median(parent)
+    spread = max(q[2] - q[0] for q in map(statistics.quantiles, (parent, change))) / base
+    if sign * (statistics.median(change) / base - 1) < -bound:
+        return spread, "worse"
+    if spread > bound and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return spread, "unresolved"
+    return spread, "within"
+
+
 def metric_values(entries: list[dict], side: str, metric: str) -> list[float]:
     return [e[side]["result"]["metrics"][metric]["value"] for e in entries]
 
@@ -94,16 +113,16 @@ def report(workloads: dict, end_to_end: list[dict]) -> str:
         lines.append(f"== {name}: {len(entries)} pairs, seeds {min(seeds)}-{max(seeds)}")
         lines.append(
             f"   {'metric':20s} {'parent':>11s} {'change':>11s} {'ratio':>6s} "
-            f"{'better':>7s} {'p':>6s}  2nd..(N-1)th ratio"
+            f"{'better':>7s} {'p':>6s}  {'2nd..(N-1)th':12s} {'spread':>6s} {'bound':>5s} verdict"
         )
         for m in end_to_end:
-            s = pair_stats(
-                metric_values(entries, "parent", m["name"]),
-                metric_values(entries, "change", m["name"]), m["better"],
-            )
+            values = [metric_values(entries, side, m["name"]) for side in ("parent", "change")]
+            s = pair_stats(*values, m["better"])
+            spread, word = verdict(*values, m["better"], m["bound"])
             lines.append(
                 f"   {m['name']:20s} {s.parent:11.5g} {s.change:11.5g} {s.ratio:6.3f} "
-                f"{s.better:>3d}/{s.pairs:<3d} {s.p:6.3f}  {s.low:.3f}-{s.high:.3f}"
+                f"{s.better:>3d}/{s.pairs:<3d} {s.p:6.3f}  {s.low:.3f}-{s.high:.3f}  "
+                f"{spread:6.3f} {m['bound']:5.2f} {word}"
             )
         failed = {
             side: max(e[side]["record"]["record"]["failed_frac"] for e in entries)
@@ -183,7 +202,7 @@ def run_pairs(args, bench: dict, trees: dict) -> dict:
             entry = {"seed": seed, "first": order[0], "parent": None, "change": None}
             entries.append(entry)
             for side in order:
-                entry[side] = run_once(trees[side], workload, seed, args.seconds, metrics)
+                entry[side] = run_once(trees[side], workload, seed, bench["run_seconds"], metrics)
                 done += 1
                 value = entry[side]["result"]["metrics"]["run_s_p50"]["value"]
                 print(f"[{done}/{total}] {workload} seed {seed} {side}: run_s_p50 {value:.4g}",
@@ -202,11 +221,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="pair i runs seed S+i")
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--claim", default="none", help="the gain claimed, if any")
     args = parser.parse_args(argv)
-    if args.pairs < 3:
-        parser.error("--pairs must be at least 3: the 2nd and (N-1)th ratios need them")
+    if args.pairs < 10:
+        parser.error("--pairs must be at least 10: fewer pairs cannot show a gain or a bound")
 
     try:
         labels = {side: label(getattr(args, side)) for side in ("parent", "change")}
@@ -229,10 +247,10 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "command": (
             f"python3 tools/bench_pairs.py {shlex.join(sys.argv[1:] if argv is None else argv)}: "
-            "each run is python3 perfbench/run.py --workload W --seed S --seconds T from the "
-            "root of each exported tree, with " + ", ".join(UNSET) + " unset and "
-            "PYTHONDONTWRITEBYTECODE=1; pair i runs seed S+i and 'first' names the side "
-            "that ran first"
+            f"each run is python3 perfbench/run.py --workload W --seed S --seconds "
+            f"{bench['run_seconds']} from the root of each exported tree, with "
+            f"{', '.join(UNSET)} unset and PYTHONDONTWRITEBYTECODE=1; pair i runs seed S+i "
+            "and 'first' names the side that ran first"
         ),
         "environment": {**first["parent"]["record"]["record"]["environment"], "git_sha": labels},
         "workloads": workloads,
